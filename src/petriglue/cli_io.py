@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -60,61 +61,42 @@ from .semantics import (
 # Term expressions
 
 _PUNCTUATION = set("()[],")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCTUATION:
-            tokens.append(("punct", ch, i))
-            i += 1
-            continue
-        start = i
-        while i < len(text) and not text[i].isspace() and text[i] not in _PUNCTUATION:
-            i += 1
-        tokens.append(("atom", text[start:i], start))
-    return tokens
+_TOKEN = re.compile(r"[()\[\],]|[^\s()\[\],]+")
 
 
 class _TermParser:
     def __init__(self, text: str) -> None:
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
         self.pos = 0
 
     def error(self, message: str) -> ParseError:
-        at = self.tokens[self.pos][2] if self.pos < len(self.tokens) else len(self.text)
+        at = self.tokens[self.pos][1] if self.pos < len(self.tokens) else len(self.text)
         return ParseError(f"at position {at}: {message}")
 
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> str | None:
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
 
     def expect(self, value: str) -> None:
-        token = self.peek()
-        if token is None or token[1] != value:
+        if self.peek() != value:
             raise self.error(f"expected {value!r}")
         self.pos += 1
 
     def atom(self) -> str:
         token = self.peek()
-        if token is None or token[0] != "atom":
+        if token is None or token in _PUNCTUATION:
             raise self.error("expected a name")
         self.pos += 1
-        return token[1]
+        return token
 
     def name_list(self) -> tuple[str, ...]:
         self.expect("[")
         names: list[str] = []
-        if self.peek() and self.peek()[1] == "]":
+        if self.peek() == "]":
             self.pos += 1
             return ()
         names.append(self.atom())
-        while self.peek() and self.peek()[1] == ",":
+        while self.peek() == ",":
             self.pos += 1
             names.append(self.atom())
         self.expect("]")
@@ -128,8 +110,29 @@ class _TermParser:
             raise self.error("expected a list of integers") from exc
 
     def term(self) -> MorphismTerm:
-        head = self.atom()
-        self.expect("(")
+        """Parse one term; nesting depth is limited by memory only."""
+        # Each open comp/ten node: its head and, once parsed, its first operand.
+        open_nodes: list[list] = []
+        while True:
+            head = self.atom()
+            self.expect("(")
+            if head == "comp" or head == "ten":
+                open_nodes.append([head, None])
+                continue
+            value = self.leaf(head)
+            while open_nodes:
+                node = open_nodes[-1]
+                if node[1] is None:
+                    node[1] = value
+                    self.expect(",")
+                    break
+                self.expect(")")
+                open_nodes.pop()
+                value = Compose(node[1], value) if node[0] == "comp" else Tensor(node[1], value)
+            else:
+                return value
+
+    def leaf(self, head: str) -> MorphismTerm:
         if head == "gen":
             name = self.atom()
             self.expect(")")
@@ -144,12 +147,6 @@ class _TermParser:
             perm = self.int_list()
             self.expect(")")
             return symmetry(word, perm)
-        if head == "comp" or head == "ten":
-            first = self.term()
-            self.expect(",")
-            second = self.term()
-            self.expect(")")
-            return Compose(first, second) if head == "comp" else Tensor(first, second)
         raise self.error(f"unknown term constructor {head!r}")
 
 
@@ -164,17 +161,28 @@ def parse_term(text: str) -> MorphismTerm:
 
 def term_to_text(term: MorphismTerm) -> str:
     """Canonical expression form; inverse of :func:`parse_term`."""
-    if isinstance(term, Gen):
-        return f"gen({term.name})"
-    if isinstance(term, Id):
-        return f"id([{','.join(term.word)}])"
-    if isinstance(term, Perm):
-        return f"perm([{','.join(term.word)}],[{','.join(map(str, term.perm))}])"
-    if isinstance(term, Compose):
-        return f"comp({term_to_text(term.first)},{term_to_text(term.second)})"
-    if isinstance(term, Tensor):
-        return f"ten({term_to_text(term.left)},{term_to_text(term.right)})"
-    raise ValidationError(f"not a morphism term: {term!r}")
+    parts: list[str] = []
+    # Pending (is_text, item) pairs: literal text, or a subterm to print.
+    stack: list[tuple[bool, Any]] = [(False, term)]
+    while stack:
+        is_text, t = stack.pop()
+        if is_text:
+            parts.append(t)
+        elif isinstance(t, Gen):
+            parts.append(f"gen({t.name})")
+        elif isinstance(t, Id):
+            parts.append(f"id([{','.join(t.word)}])")
+        elif isinstance(t, Perm):
+            parts.append(f"perm([{','.join(t.word)}],[{','.join(map(str, t.perm))}])")
+        elif isinstance(t, Compose):
+            parts.append("comp(")
+            stack += ((True, ")"), (False, t.second), (True, ","), (False, t.first))
+        elif isinstance(t, Tensor):
+            parts.append("ten(")
+            stack += ((True, ")"), (False, t.right), (True, ","), (False, t.left))
+        else:
+            raise ValidationError(f"not a morphism term: {t!r}")
+    return "".join(parts)
 
 
 def pretty_term(term: MorphismTerm) -> str:

@@ -1,16 +1,27 @@
 """Morphism terms of a free symmetric strict monoidal category.
 
 Terms are syntax trees built from generators, identities, permutations,
-sequential composition and monoidal product.  Their canonical form is a
-:class:`StringDiagram`, an anchored acyclic port graph on which equality
-of free-SMC morphisms is decidable: two terms denote the same morphism
-iff their diagrams are isomorphic by a box bijection that preserves
-generator labels, every wire, and the interface positions.
+sequential composition and monoidal product.  :func:`to_diagram`
+typechecks a term and evaluates it to a :class:`StringDiagram`, an
+acyclic port graph anchored at its interface, in one pass with an
+explicit stack.  Two terms denote the same morphism iff their diagrams
+are isomorphic by a box bijection that preserves generator labels,
+every wire, and the interface positions.
+
+:func:`diagram_key` turns that isomorphism into equality of a canonical
+key.  A breadth-first walk from the interface inputs and then the
+interface outputs, in position order, follows box ports in port order;
+it numbers every box connected to the interface the same way in any
+isomorphic copy.  Each closed component (boxes no wire path joins to
+the interface) is encoded by the least such walk over its start boxes,
+and the component codes are sorted.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import (
     BadPermutationError,
@@ -125,6 +136,80 @@ def block_permutation(sizes: Sequence[int], block_map: Sequence[int]) -> tuple[i
     return tuple(out)
 
 
+def fold_term(
+    t: MorphismTerm,
+    leaf: Callable[[MorphismTerm], Any],
+    compose: Callable[[Any, Any], Any],
+    tensor: Callable[[Any, Any], Any],
+) -> Any:
+    """Evaluate ``t`` bottom-up with an explicit stack.
+
+    ``leaf`` is applied to every ``Gen``, ``Id`` and ``Perm`` node, left
+    to right; ``compose`` and ``tensor`` combine the values of a node's
+    two operands.  Term depth is limited by memory, not by the recursion
+    limit.
+    """
+    values: list[Any] = []
+    # The combiner itself marks where a node's two operand values are ready.
+    stack: list[Any] = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Compose):
+            stack += (compose, node.second, node.first)
+        elif isinstance(node, Tensor):
+            stack += (tensor, node.right, node.left)
+        elif isinstance(node, (Gen, Id, Perm)):
+            values.append(leaf(node))
+        elif node is compose or node is tensor:
+            second = values.pop()
+            values[-1] = node(values[-1], second)
+        else:
+            raise ValidationError(f"not a morphism term: {node!r}")
+    return values[0]
+
+
+def _concat(first: Sequence, second: Sequence) -> deque:
+    """``first + second``, extending the longer operand in place.
+
+    Leaf values are tuples or ranges and become deques on first use, so
+    folding a product of any shape copies each position O(log n) times.
+    """
+    if len(first) >= len(second):
+        first = first if isinstance(first, deque) else deque(first)
+        first.extend(second)
+        return first
+    second = second if isinstance(second, deque) else deque(second)
+    second.extendleft(reversed(first))
+    return second
+
+
+def _tensor_ends(left: tuple[Sequence, Sequence], right: tuple[Sequence, Sequence]):
+    """The (inputs, outputs) of a product from those of its operands."""
+    return _concat(left[0], right[0]), _concat(left[1], right[1])
+
+
+def _leaf_type(t: Gen | Id | Perm, sig: SmcPresentation) -> tuple[Word, Word]:
+    if isinstance(t, Gen):
+        gen = sig.morphism_index.get(t.name)
+        if gen is None:
+            raise UnknownGeneratorError(f"unknown morphism generator {t.name!r}")
+        return gen.dom, gen.cod
+    for letter in t.word:
+        if letter not in sig.object_set:
+            raise UnknownGeneratorError(f"unknown object generator {letter!r}")
+    if isinstance(t, Id):
+        return t.word, t.word
+    _check_perm(t.word, t.perm)
+    return t.word, apply_perm(t.word, t.perm)
+
+
+def _check_composable(cod: Sequence[str], dom: Sequence[str]) -> None:
+    if tuple(cod) != tuple(dom):
+        raise TypeMismatchError(
+            f"cannot compose: left codomain {tuple(cod)} != right domain {tuple(dom)}"
+        )
+
+
 def typecheck(t: MorphismTerm, sig: SmcPresentation) -> tuple[Word, Word]:
     """Return (dom, cod) of a well-formed term, or raise.
 
@@ -132,38 +217,13 @@ def typecheck(t: MorphismTerm, sig: SmcPresentation) -> tuple[Word, Word]:
     :class:`BadPermutationError` for invalid symmetries and
     :class:`TypeMismatchError` when a composition boundary disagrees.
     """
-    if isinstance(t, Gen):
-        if not sig.has_morphism(t.name):
-            raise UnknownGeneratorError(f"unknown morphism generator {t.name!r}")
-        gen = sig.morphism(t.name)
-        return gen.dom, gen.cod
-    if isinstance(t, Id):
-        _check_letters(t.word, sig)
-        return t.word, t.word
-    if isinstance(t, Perm):
-        _check_letters(t.word, sig)
-        _check_perm(t.word, t.perm)
-        return t.word, apply_perm(t.word, t.perm)
-    if isinstance(t, Compose):
-        dom1, cod1 = typecheck(t.first, sig)
-        dom2, cod2 = typecheck(t.second, sig)
-        if cod1 != dom2:
-            raise TypeMismatchError(
-                f"cannot compose: left codomain {cod1} != right domain {dom2}"
-            )
-        return dom1, cod2
-    if isinstance(t, Tensor):
-        dom1, cod1 = typecheck(t.left, sig)
-        dom2, cod2 = typecheck(t.right, sig)
-        return dom1 + dom2, cod1 + cod2
-    raise ValidationError(f"not a morphism term: {t!r}")
 
+    def compose(first: tuple[Sequence, Sequence], second: tuple[Sequence, Sequence]):
+        _check_composable(first[1], second[0])
+        return first[0], second[1]
 
-def _check_letters(word: Word, sig: SmcPresentation) -> None:
-    declared = set(sig.objects)
-    for letter in word:
-        if letter not in declared:
-            raise UnknownGeneratorError(f"unknown object generator {letter!r}")
+    dom, cod = fold_term(t, lambda node: _leaf_type(node, sig), compose, _tensor_ends)
+    return tuple(dom), tuple(cod)
 
 
 def compose_terms(terms: Sequence[MorphismTerm]) -> MorphismTerm:
@@ -192,15 +252,19 @@ def decomposition(t: MorphismTerm) -> frozenset[str]:
     For well-typed terms this is the unique decomposition: terms with
     equal diagrams always use the same generators.
     """
-    if isinstance(t, Gen):
-        return frozenset((t.name,))
-    if isinstance(t, (Id, Perm)):
-        return frozenset()
-    if isinstance(t, Compose):
-        return decomposition(t.first) | decomposition(t.second)
-    if isinstance(t, Tensor):
-        return decomposition(t.left) | decomposition(t.right)
-    raise ValidationError(f"not a morphism term: {t!r}")
+    names: set[str] = set()
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Gen):
+            names.add(node.name)
+        elif isinstance(node, Compose):
+            stack += (node.second, node.first)
+        elif isinstance(node, Tensor):
+            stack += (node.right, node.left)
+        elif not isinstance(node, (Id, Perm)):
+            raise ValidationError(f"not a morphism term: {node!r}")
+    return frozenset(names)
 
 
 def belongs(generator: str, t: MorphismTerm) -> bool:
@@ -275,236 +339,150 @@ class StringDiagram:
             return self.box_doms[endpoint[1]][endpoint[2]]
         return self.box_cods[endpoint[1]][endpoint[2]]
 
-
-class _Builder:
-    """Mutable open diagram used while folding a term."""
-
-    __slots__ = ("boxes", "producer", "consumer", "in_wires", "out_wires", "next_wire")
-
-    def __init__(self) -> None:
-        self.boxes: list[tuple[str, Word, Word]] = []
-        self.producer: dict[int, Endpoint] = {}
-        self.consumer: dict[int, Endpoint] = {}
-        self.in_wires: list[int] = []
-        self.out_wires: list[int] = []
-        self.next_wire = 0
-
-    def new_wire(self, producer: Endpoint, consumer: Endpoint) -> int:
-        wire = self.next_wire
-        self.next_wire += 1
-        self.producer[wire] = producer
-        self.consumer[wire] = consumer
-        return wire
-
-
-def _shift_endpoint(endpoint: Endpoint, box_offset: int) -> Endpoint:
-    if endpoint[0] in ("bi", "bo"):
-        return (endpoint[0], endpoint[1] + box_offset, endpoint[2])
-    return endpoint
-
-
-def _shift_interface(endpoint: Endpoint, kind: str, offset: int) -> Endpoint:
-    if endpoint[0] == kind:
-        return (kind, endpoint[1] + offset)
-    return endpoint
-
-
-def _merge(a: _Builder, b: _Builder, box_offset: int) -> tuple[_Builder, int]:
-    """Copy ``a`` and import ``b``'s boxes and wires with offsets applied."""
-    out = _Builder()
-    out.boxes = list(a.boxes) + list(b.boxes)
-    out.producer = dict(a.producer)
-    out.consumer = dict(a.consumer)
-    wire_offset = a.next_wire
-    for wire, endpoint in b.producer.items():
-        out.producer[wire + wire_offset] = _shift_endpoint(endpoint, box_offset)
-    for wire, endpoint in b.consumer.items():
-        out.consumer[wire + wire_offset] = _shift_endpoint(endpoint, box_offset)
-    out.next_wire = a.next_wire + b.next_wire
-    return out, wire_offset
-
-
-def _build(t: MorphismTerm, sig: SmcPresentation) -> _Builder:
-    if isinstance(t, Gen):
-        gen = sig.morphism(t.name)
-        builder = _Builder()
-        builder.boxes.append((gen.name, gen.dom, gen.cod))
-        builder.in_wires = [
-            builder.new_wire(("in", i), ("bi", 0, i)) for i in range(len(gen.dom))
-        ]
-        builder.out_wires = [
-            builder.new_wire(("bo", 0, j), ("out", j)) for j in range(len(gen.cod))
-        ]
-        return builder
-    if isinstance(t, Id):
-        builder = _Builder()
-        builder.in_wires = [
-            builder.new_wire(("in", i), ("out", i)) for i in range(len(t.word))
-        ]
-        builder.out_wires = list(builder.in_wires)
-        return builder
-    if isinstance(t, Perm):
-        builder = _Builder()
-        wires = [
-            builder.new_wire(("in", t.perm[j]), ("out", j)) for j in range(len(t.word))
-        ]
-        builder.in_wires = [wires[j] for j in invert_perm(t.perm)]
-        builder.out_wires = wires
-        return builder
-    if isinstance(t, Compose):
-        a = _build(t.first, sig)
-        b = _build(t.second, sig)
-        out, wire_offset = _merge(a, b, len(a.boxes))
-        remap: dict[int, int] = {}
-        for k, wa in enumerate(a.out_wires):
-            wb = b.in_wires[k] + wire_offset
-            out.consumer[wa] = out.consumer[wb]
-            del out.producer[wb]
-            del out.consumer[wb]
-            remap[wb] = wa
-        out.in_wires = list(a.in_wires)
-        out.out_wires = [remap.get(w + wire_offset, w + wire_offset) for w in b.out_wires]
-        return out
-    if isinstance(t, Tensor):
-        a = _build(t.left, sig)
-        b = _build(t.right, sig)
-        out, wire_offset = _merge(a, b, len(a.boxes))
-        a_dom, a_cod = typecheck(t.left, sig)
-        for wire in list(out.producer):
-            if wire >= wire_offset:
-                out.producer[wire] = _shift_interface(out.producer[wire], "in", len(a_dom))
-                out.consumer[wire] = _shift_interface(out.consumer[wire], "out", len(a_cod))
-        out.in_wires = list(a.in_wires) + [w + wire_offset for w in b.in_wires]
-        out.out_wires = list(a.out_wires) + [w + wire_offset for w in b.out_wires]
-        return out
-    raise ValidationError(f"not a morphism term: {t!r}")
+    @cached_property
+    def _key(self) -> tuple:
+        return _canonical_key(self)
 
 
 def to_diagram(t: MorphismTerm, sig: SmcPresentation) -> StringDiagram:
-    """Evaluate a term to its string diagram; one box per Gen occurrence."""
-    dom, cod = typecheck(t, sig)
-    builder = _build(t, sig)
-    wires = frozenset(
-        (builder.producer[w], builder.consumer[w]) for w in builder.producer
-    )
-    return StringDiagram(
-        boxes=tuple(label for label, _, _ in builder.boxes),
-        box_doms=tuple(d for _, d, _ in builder.boxes),
-        box_cods=tuple(c for _, _, c in builder.boxes),
-        inputs=dom,
-        outputs=cod,
-        wires=wires,
-    )
+    """Typecheck a term and build its string diagram in one pass.
 
-
-def _connection_maps(d: StringDiagram) -> tuple[dict, dict]:
-    by_consumer = {tgt: src for src, tgt in d.wires}
-    by_producer = {src: tgt for src, tgt in d.wires}
-    return by_consumer, by_producer
-
-
-def _joint_colors(d1: StringDiagram, d2: StringDiagram) -> tuple[list[int], list[int]]:
-    """Anchored color refinement run jointly so codes are comparable.
-
-    Each round re-encodes box signatures over both diagrams into one
-    shared integer alphabet, keeping colors small for long chains.
+    Boxes are numbered by the left-to-right order of ``Gen`` occurrences.
+    Every open end of a fragment is a link; composing two fragments joins
+    each output link of the first to the matching input link of the
+    second through ``alias``, so nothing is copied or renumbered, and
+    interface positions are assigned once, at the root.
     """
-    bc1, bp1 = _connection_maps(d1)
-    bc2, bp2 = _connection_maps(d2)
+    boxes: list[tuple[str, Word, Word]] = []
+    letter: list[str] = []
+    source: list[Endpoint | None] = []
+    target: list[Endpoint | None] = []
+    alias: dict[int, int] = {}
 
-    def signatures(d: StringDiagram, colors: list[int], bc: dict, bp: dict) -> list[tuple]:
-        sigs = []
-        for b in range(len(d.boxes)):
-            ins = []
-            for j in range(len(d.box_doms[b])):
-                src = bc[("bi", b, j)]
-                ins.append(("I", src[1]) if src[0] == "in" else ("B", colors[src[1]], src[2]))
-            outs = []
-            for j in range(len(d.box_cods[b])):
-                tgt = bp[("bo", b, j)]
-                outs.append(("O", tgt[1]) if tgt[0] == "out" else ("B", colors[tgt[1]], tgt[2]))
-            sigs.append((d.boxes[b], tuple(ins), tuple(outs)))
-        return sigs
+    def find(link: int) -> int:
+        root = link
+        while root in alias:
+            root = alias[root]
+        while link != root:
+            alias[link], link = root, alias[link]
+        return root
 
-    labels = sorted(set(d1.boxes) | set(d2.boxes))
-    code = {label: i for i, label in enumerate(labels)}
-    c1 = [code[label] for label in d1.boxes]
-    c2 = [code[label] for label in d2.boxes]
-    for _ in range(len(d1.boxes) + 1):
-        sig1 = signatures(d1, c1, bc1, bp1)
-        sig2 = signatures(d2, c2, bc2, bp2)
-        recode = {s: i for i, s in enumerate(sorted(set(sig1) | set(sig2), key=repr))}
-        n1 = [recode[s] for s in sig1]
-        n2 = [recode[s] for s in sig2]
-        if n1 == c1 and n2 == c2:
-            break
-        c1, c2 = n1, n2
-    return c1, c2
+    def leaf(node: MorphismTerm) -> tuple[Sequence[int], Sequence[int]]:
+        dom, cod = _leaf_type(node, sig)
+        first = len(letter)
+        if isinstance(node, Gen):
+            b = len(boxes)
+            boxes.append((node.name, dom, cod))
+            letter.extend(dom + cod)
+            source.extend([None] * len(dom) + [("bo", b, k) for k in range(len(cod))])
+            target.extend([("bi", b, p) for p in range(len(dom))] + [None] * len(cod))
+            middle = first + len(dom)
+            return range(first, middle), range(middle, len(letter))
+        letter.extend(dom)
+        source.extend([None] * len(dom))
+        target.extend([None] * len(dom))
+        links = range(first, len(letter))
+        if isinstance(node, Perm):
+            return links, tuple(links[p] for p in node.perm)
+        return links, links
+
+    def compose(first: tuple[Sequence, Sequence], second: tuple[Sequence, Sequence]):
+        _check_composable([letter[x] for x in first[1]], [letter[y] for y in second[0]])
+        for x, y in zip(first[1], second[0]):
+            x, y = find(x), find(y)
+            target[x] = target[y]
+            alias[y] = x
+        return first[0], second[1]
+
+    ins, outs = fold_term(t, leaf, compose, _tensor_ends)
+    for i, x in enumerate(ins):
+        source[find(x)] = ("in", i)
+    for j, y in enumerate(outs):
+        target[find(y)] = ("out", j)
+    return StringDiagram(
+        boxes=tuple(label for label, _, _ in boxes),
+        box_doms=tuple(d for _, d, _ in boxes),
+        box_cods=tuple(c for _, _, c in boxes),
+        inputs=tuple(letter[x] for x in ins),
+        outputs=tuple(letter[y] for y in outs),
+        wires=frozenset(
+            (source[w], target[w]) for w in range(len(letter)) if w not in alias
+        ),
+    )
+
+
+def _canonical_key(d: StringDiagram) -> tuple:
+    feeds: list[list] = [[None] * len(dom) for dom in d.box_doms]
+    drains: list[list] = [[None] * len(cod) for cod in d.box_cods]
+    in_targets: list = [None] * len(d.inputs)
+    out_sources: list = [None] * len(d.outputs)
+    for src, tgt in d.wires:
+        if src[0] == "bo":
+            drains[src[1]][src[2]] = tgt
+        else:
+            in_targets[src[1]] = tgt
+        if tgt[0] == "bi":
+            feeds[tgt[1]][tgt[2]] = src
+        else:
+            out_sources[tgt[1]] = src
+
+    def walk(starts: Iterable[int]) -> tuple[dict[int, int], list[tuple]]:
+        """Number boxes breadth-first from ``starts``, ports in port order.
+
+        Each box is encoded, in walk order, as its label followed by the
+        (box number, port) of every end feeding it; the number of an
+        interface input is -1.
+        """
+        order = list(dict.fromkeys(starts))
+        number = {b: i for i, b in enumerate(order)}
+        code = []
+        for b in order:
+            for end in feeds[b] + drains[b]:
+                if len(end) == 3 and end[1] not in number:
+                    number[end[1]] = len(order)
+                    order.append(end[1])
+            record = [d.boxes[b]]
+            for end in feeds[b]:
+                record += (number[end[1]], end[2]) if len(end) == 3 else (-1, end[1])
+            code.append(tuple(record))
+        return number, code
+
+    number, code = walk(end[1] for end in in_targets + out_sources if len(end) == 3)
+    outputs = []
+    for end in out_sources:
+        outputs += (number[end[1]], end[2]) if len(end) == 3 else (-1, end[1])
+    seen = set(number)
+    closed = []
+    for b in range(len(d.boxes)):
+        if b not in seen:
+            component = walk([b])[0]
+            seen.update(component)
+            closed.append(min(tuple(walk([s])[1]) for s in component))
+    return d.inputs, d.outputs, tuple(code), tuple(outputs), tuple(sorted(closed))
+
+
+def diagram_key(d: StringDiagram) -> tuple:
+    """Canonical form of ``d`` up to interface-preserving isomorphism.
+
+    A breadth-first walk from the interface inputs, then the interface
+    outputs, in position order, follows each box's ports in port order
+    and so numbers every box connected to the interface the same way in
+    every isomorphic copy.  Each closed component, one no wire path joins
+    to the interface, is encoded by the least such walk over its start
+    boxes, and the component codes are sorted.  The key is computed once
+    per diagram object.
+    """
+    return d._key
 
 
 def diagram_equal(d1: StringDiagram, d2: StringDiagram) -> bool:
-    """Interface-preserving isomorphism of diagrams.
+    """Interface-preserving isomorphism of diagrams: equal canonical keys.
 
-    The interfaces are anchored: the candidate box bijection must send
-    every wire of ``d1`` to a wire of ``d2`` with interface positions
-    fixed pointwise.  Colors from anchored refinement prune the search;
-    a backtracking match settles residual symmetric cases.
+    The interfaces are anchored: an isomorphism is a label-preserving box
+    bijection that sends every wire of ``d1`` to a wire of ``d2`` with
+    interface positions fixed pointwise.
     """
-    if d1.inputs != d2.inputs or d1.outputs != d2.outputs:
-        return False
-    if len(d1.boxes) != len(d2.boxes) or len(d1.wires) != len(d2.wires):
-        return False
-    if sorted(d1.boxes) != sorted(d2.boxes):
-        return False
-
-    colors1, colors2 = _joint_colors(d1, d2)
-    if sorted(colors1) != sorted(colors2):
-        return False
-
-    candidates: list[list[int]] = [
-        [b2 for b2 in range(len(d2.boxes)) if colors2[b2] == colors1[b1]]
-        for b1 in range(len(d1.boxes))
-    ]
-    order = sorted(range(len(d1.boxes)), key=lambda b: len(candidates[b]))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def map_endpoint(endpoint: Endpoint) -> Endpoint:
-        if endpoint[0] in ("bi", "bo"):
-            return (endpoint[0], mapping[endpoint[1]], endpoint[2])
-        return endpoint
-
-    def locally_consistent(b1: int) -> bool:
-        for src, tgt in d1.wires:
-            ends = []
-            for endpoint in (src, tgt):
-                if endpoint[0] in ("bi", "bo") and endpoint[1] not in mapping:
-                    break
-                ends.append(map_endpoint(endpoint))
-            else:
-                if (ends[0], ends[1]) not in d2.wires:
-                    return False
-        return True
-
-    def search(i: int) -> bool:
-        if i == len(order):
-            return all(
-                (map_endpoint(src), map_endpoint(tgt)) in d2.wires
-                for src, tgt in d1.wires
-            )
-        b1 = order[i]
-        for b2 in candidates[b1]:
-            if b2 in used:
-                continue
-            mapping[b1] = b2
-            used.add(b2)
-            if locally_consistent(b1) and search(i + 1):
-                return True
-            del mapping[b1]
-            used.discard(b2)
-        return False
-
-    return search(0)
+    return diagram_key(d1) == diagram_key(d2)
 
 
 def terms_equal(t1: MorphismTerm, t2: MorphismTerm, sig: SmcPresentation) -> bool:

@@ -28,6 +28,7 @@ from .fssmc import (
     block_permutation,
     decomposition,
     diagram_equal,
+    fold_term,
     identity_perm,
     sorting_permutation,
     to_diagram,
@@ -94,18 +95,16 @@ def identity_functor(sig: SmcPresentation) -> StrictFunctor:
 
 def apply_functor(functor: StrictFunctor, t: MorphismTerm) -> MorphismTerm:
     """Homomorphic image of a term; permutations become block permutations."""
-    if isinstance(t, Gen):
-        return functor.morphism_map[t.name]
-    if isinstance(t, Id):
-        return Id(functor.map_word(t.word))
-    if isinstance(t, Perm):
-        sizes = [len(functor.map_object(letter)) for letter in t.word]
-        return Perm(functor.map_word(t.word), block_permutation(sizes, t.perm))
-    if isinstance(t, Compose):
-        return Compose(apply_functor(functor, t.first), apply_functor(functor, t.second))
-    if isinstance(t, Tensor):
-        return Tensor(apply_functor(functor, t.left), apply_functor(functor, t.right))
-    raise ValidationError(f"not a morphism term: {t!r}")
+
+    def leaf(node: MorphismTerm) -> MorphismTerm:
+        if isinstance(node, Gen):
+            return functor.morphism_map[node.name]
+        if isinstance(node, Id):
+            return Id(functor.map_word(node.word))
+        sizes = [len(functor.map_object(letter)) for letter in node.word]
+        return Perm(functor.map_word(node.word), block_permutation(sizes, node.perm))
+
+    return fold_term(t, leaf, Compose, Tensor)
 
 
 def compose_functors(first: StrictFunctor, second: StrictFunctor) -> StrictFunctor:

@@ -6,7 +6,7 @@ every operation is a pure function.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import UnknownPlaceError, ValidationError
@@ -115,33 +115,41 @@ class MorphismGenerator:
 
 @dataclass(frozen=True)
 class SmcPresentation:
-    """Generating data of a free symmetric strict monoidal category."""
+    """Generating data of a free symmetric strict monoidal category.
+
+    ``object_set`` and ``morphism_index`` (name to generator) are built
+    once, at construction, and take no part in equality.
+    """
 
     objects: tuple[str, ...]
     morphisms: tuple[MorphismGenerator, ...]
+    object_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    morphism_index: dict[str, MorphismGenerator] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        if len(set(self.objects)) != len(self.objects):
+        object.__setattr__(self, "object_set", frozenset(self.objects))
+        object.__setattr__(self, "morphism_index", {m.name: m for m in self.morphisms})
+        if len(self.object_set) != len(self.objects):
             raise ValidationError("object generator names must be distinct")
-        names = [m.name for m in self.morphisms]
-        if len(set(names)) != len(names):
+        if len(self.morphism_index) != len(self.morphisms):
             raise ValidationError("morphism generator names must be distinct")
-        declared = set(self.objects)
         for m in self.morphisms:
             for letter in m.dom + m.cod:
-                if letter not in declared:
+                if letter not in self.object_set:
                     raise UnknownPlaceError(
                         f"generator {m.name!r} uses undeclared object {letter!r}"
                     )
 
     def morphism(self, name: str) -> MorphismGenerator:
-        for m in self.morphisms:
-            if m.name == name:
-                return m
-        raise UnknownPlaceError(f"no morphism generator named {name!r}")
+        gen = self.morphism_index.get(name)
+        if gen is None:
+            raise UnknownPlaceError(f"no morphism generator named {name!r}")
+        return gen
 
     def has_morphism(self, name: str) -> bool:
-        return any(m.name == name for m in self.morphisms)
+        return name in self.morphism_index
 
     def object_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.objects)}

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +25,9 @@ from petriglue import (
 )
 from petriglue.cli_io import main, parse_semantics
 from support import FIXTURES, fig1_nws
+
+# fig8a's f: [A,A] -> [C,B], composed with identities 3,000 levels deep.
+DEEP_IMAGE = "comp(" * 3000 + "gen(f)" + ",id([C,B]))" * 3000
 
 
 class TestTermExpressions:
@@ -54,6 +60,10 @@ class TestTermExpressions:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_term("gen(g) gen(h)")
+
+    def test_deep_nesting_round_trip(self):
+        for text in (DEEP_IMAGE, "ten(id([A])," * 3000 + "gen(g)" + ")" * 3000):
+            assert term_to_text(parse_term(text)) == text
 
 
 class TestDocuments:
@@ -135,6 +145,24 @@ class TestCli:
     def test_validate_ok(self, capsys):
         assert main(["validate", str(FIXTURES / "fig1.json")]) == 0
         assert "ok" in capsys.readouterr().out
+
+    def test_validate_deeply_nested_fold_image(self, tmp_path):
+        doc = json.loads((FIXTURES / "fig8a-left.json").read_text())
+        doc["fold"]["morphisms"]["f"] = DEEP_IMAGE
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        src = str(FIXTURES.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from petriglue.cli_io import main; sys.exit(main(sys.argv[1:]))",
+             "validate", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode in (0, 2)
+        assert "Traceback" not in done.stderr
 
     def test_validate_bad_document(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

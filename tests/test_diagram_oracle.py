@@ -1,19 +1,54 @@
-"""Cross-validate diagram equality against a brute-force matcher.
+"""Cross-validate the diagram layer against two oracles.
 
-The production matcher prunes with joint color refinement; the oracle
-here tries every label-preserving box bijection outright.  Any
-disagreement on random equal pairs (rewrites) or perturbed unequal
-pairs would expose a refinement bug.
+The library decides diagram equality by comparing canonical keys: a
+port-ordered breadth-first walk anchored at the interface numbers the
+boxes joined to it, and closed components are encoded by their least
+walk and sorted.  One oracle here tries every label-preserving box
+bijection outright; the other is the earlier recursive builder with
+colour refinement and backtracking, kept in ``reference_fssmc``.  Any
+disagreement on random equal pairs (rewrites), arbitrary pairs,
+perturbed wirings or closed components would expose a key bug.
 """
 from __future__ import annotations
 
 import itertools
 import random
 
-from petriglue import StringDiagram, diagram_equal, free_smc, to_diagram
+import pytest
+
+import reference_fssmc as reference
+from petriglue import (
+    Compose,
+    Gen,
+    MorphismGenerator,
+    Perm,
+    SmcPresentation,
+    StringDiagram,
+    Tensor,
+    diagram_equal,
+    diagram_key,
+    free_smc,
+    to_diagram,
+)
+from petriglue.fssmc import compose_terms
 from support import fig1_net, random_rewrite, random_term
 
 SIG = free_smc(fig1_net())
+
+# Generators with an empty side build closed components: u;v has no wire
+# to the interface.  u and w are told apart only by label, so (u⊗w);m and
+# (w⊗u);m differ by the port order of m alone.
+CLOSED_SIG = SmcPresentation(
+    ("A",),
+    (
+        MorphismGenerator("u", (), ("A",)),
+        MorphismGenerator("w", (), ("A",)),
+        MorphismGenerator("v", ("A",), ()),
+        MorphismGenerator("m", ("A", "A"), ()),
+        MorphismGenerator("s", ("A",), ("A", "A")),
+        MorphismGenerator("j", ("A", "A"), ("A",)),
+    ),
+)
 
 
 def brute_force_equal(d1: StringDiagram, d2: StringDiagram) -> bool:
@@ -70,6 +105,34 @@ def test_matches_brute_force_on_arbitrary_pairs():
     assert agreements >= 200
 
 
+def perturbed(rng: random.Random, d: StringDiagram) -> StringDiagram | None:
+    """``d`` with the targets of two same-label wires swapped, if any."""
+    wires = sorted(d.wires)
+    pairs = [
+        (i, j)
+        for i in range(len(wires))
+        for j in range(i + 1, len(wires))
+        if d._label(wires[i][0]) == d._label(wires[j][0])
+        and wires[i][1] != wires[j][1]
+    ]
+    if not pairs:
+        return None
+    i, j = rng.choice(pairs)
+    swapped = set(wires)
+    swapped.discard(wires[i])
+    swapped.discard(wires[j])
+    swapped.add((wires[i][0], wires[j][1]))
+    swapped.add((wires[j][0], wires[i][1]))
+    return StringDiagram(
+        boxes=d.boxes,
+        box_doms=d.box_doms,
+        box_cods=d.box_cods,
+        inputs=d.inputs,
+        outputs=d.outputs,
+        wires=frozenset(swapped),
+    )
+
+
 def test_detects_single_wire_perturbations():
     rng = random.Random(73)
     checked = 0
@@ -78,30 +141,112 @@ def test_detects_single_wire_perturbations():
         d = to_diagram(term, SIG)
         # swap the targets of two wires carrying the same label; if the
         # result is a different wiring it must not compare equal
-        wires = sorted(d.wires)
-        pairs = [
-            (i, j)
-            for i in range(len(wires))
-            for j in range(i + 1, len(wires))
-            if d._label(wires[i][0]) == d._label(wires[j][0])
-            and wires[i][1] != wires[j][1]
-        ]
-        if not pairs:
+        mutated = perturbed(rng, d)
+        if mutated is None:
             continue
-        i, j = rng.choice(pairs)
-        swapped = set(wires)
-        swapped.discard(wires[i])
-        swapped.discard(wires[j])
-        swapped.add((wires[i][0], wires[j][1]))
-        swapped.add((wires[j][0], wires[i][1]))
-        mutated = StringDiagram(
-            boxes=d.boxes,
-            box_doms=d.box_doms,
-            box_cods=d.box_cods,
-            inputs=d.inputs,
-            outputs=d.outputs,
-            wires=frozenset(swapped),
-        )
         mutated.validate()
         assert diagram_equal(d, mutated) == brute_force_equal(d, mutated)
         checked += 1
+
+
+def test_builder_matches_reference_builder():
+    rng = random.Random(74)
+    for _ in range(300):
+        term = random_term(rng, SIG, rng.randint(1, 12))
+        for _ in range(rng.randint(0, 3)):
+            term = random_rewrite(rng, term, SIG)
+        assert to_diagram(term, SIG) == reference.to_diagram(term, SIG)
+
+
+def large_diagrams(rng: random.Random, count: int):
+    """Random diagrams of 7 to about 40 boxes, each with a rewritten twin."""
+    made = 0
+    while made < count:
+        term = random_term(rng, SIG, rng.randint(8, 24))
+        d = to_diagram(term, SIG)
+        if not 7 <= len(d.boxes) <= 40:
+            continue
+        other = term
+        for _ in range(rng.randint(1, 4)):
+            other = random_rewrite(rng, other, SIG)
+        yield d, to_diagram(other, SIG)
+        made += 1
+
+
+def test_matches_reference_on_large_equal_and_perturbed_pairs():
+    rng = random.Random(75)
+    unequal = 0
+    for d, twin in large_diagrams(rng, 60):
+        assert diagram_equal(d, twin) and reference.diagram_equal(d, twin)
+        mutated = perturbed(rng, twin)
+        if mutated is not None:
+            mutated.validate()
+            verdict = diagram_equal(d, mutated)
+            assert verdict == reference.diagram_equal(d, mutated)
+            unequal += not verdict
+    assert unequal >= 30
+
+
+def test_matches_reference_on_large_arbitrary_pairs():
+    rng = random.Random(76)
+    diagrams = [d for d, _ in large_diagrams(rng, 60)]
+    for d1 in diagrams:
+        for d2 in rng.sample(diagrams, 10):
+            assert diagram_equal(d1, d2) == reference.diagram_equal(d1, d2)
+
+
+def test_key_is_computed_once_per_diagram():
+    d = to_diagram(random_term(random.Random(77), SIG, 6), SIG)
+    assert diagram_key(d) is diagram_key(d)
+
+
+U, W, V, M, S, J = (Gen(name) for name in "uwvmsj")
+SWAP = Perm(("A", "A"), (1, 0))
+
+
+@pytest.mark.parametrize(
+    "left, right, equal",
+    [
+        # two closed components, built in either order
+        (Tensor(Compose(U, V), Compose(W, V)), Tensor(Compose(W, V), Compose(U, V)), True),
+        # two isomorphic closed components, built apart or interleaved
+        (Tensor(Compose(U, V), Compose(U, V)), Compose(Tensor(U, U), Tensor(V, V)), True),
+        (Compose(Tensor(U, U), Tensor(V, V)),
+         Compose(Compose(Tensor(U, U), SWAP), Tensor(V, V)), True),
+        # components that differ only by the port order of m
+        (Compose(Tensor(U, W), M), Compose(Tensor(W, U), M), False),
+        (Compose(Tensor(U, W), M), Compose(Compose(Tensor(W, U), SWAP), M), True),
+        # one component whose inner wires cross, against straight wires
+        (compose_terms([U, S, J, V]), compose_terms([U, S, SWAP, J, V]), False),
+        # a closed component beside an interface wire
+        (Tensor(Compose(U, V), S), Tensor(S, Compose(U, V)), True),
+        (Tensor(Compose(U, V), S), Tensor(Compose(W, V), S), False),
+    ],
+)
+def test_closed_components(left, right, equal):
+    d1, d2 = to_diagram(left, CLOSED_SIG), to_diagram(right, CLOSED_SIG)
+    assert brute_force_equal(d1, d2) == equal
+    assert reference.diagram_equal(d1, d2) == equal
+    assert diagram_equal(d1, d2) == equal
+
+
+def test_closed_components_on_random_pairs():
+    rng = random.Random(78)
+    closed = small = 0
+    for _ in range(400):
+        term = random_term(rng, CLOSED_SIG, rng.randint(2, 8))
+        d1 = to_diagram(term, CLOSED_SIG)
+        other = term
+        for _ in range(rng.randint(0, 3)):
+            other = random_rewrite(rng, other, CLOSED_SIG)
+        for d2 in (to_diagram(other, CLOSED_SIG), perturbed(rng, d1),
+                   to_diagram(random_term(rng, CLOSED_SIG, 4), CLOSED_SIG)):
+            if d2 is None:
+                continue
+            verdict = diagram_equal(d1, d2)
+            assert verdict == reference.diagram_equal(d1, d2)
+            if len(d1.boxes) <= 6 and len(d2.boxes) <= 6:
+                assert verdict == brute_force_equal(d1, d2)
+                small += 1
+        closed += len(diagram_key(d1)[-1]) > 0
+    assert closed >= 60 and small >= 200

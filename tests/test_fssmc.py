@@ -10,14 +10,18 @@ from petriglue import (
     Compose,
     Gen,
     Id,
+    MorphismGenerator,
     Perm,
+    SmcPresentation,
     Tensor,
     TypeMismatchError,
     UnknownGeneratorError,
+    apply_functor,
     belongs,
     decomposition,
     diagram_equal,
     free_smc,
+    identity_functor,
     symmetry,
     terms_equal,
     to_diagram,
@@ -236,3 +240,52 @@ class TestWiringOracle:
             assert diagram.wires == frozenset(
                 (("in", expected[j]), ("out", j)) for j in range(len(expected))
             )
+
+
+DEPTH = 100_000
+LOOP = SmcPresentation(("A",), (MorphismGenerator("g", ("A",), ("A",)),))
+
+
+@pytest.fixture(scope="module")
+def deep():
+    """Composites and products of DEPTH copies of g, nested left or right."""
+    terms = {}
+    for node in (Compose, Tensor):
+        for right in (False, True):
+            term = Gen("g")
+            for _ in range(DEPTH - 1):
+                term = node(Gen("g"), term) if right else node(term, Gen("g"))
+            terms[node, right] = term
+    return terms
+
+
+class TestDeepTerms:
+    """Term depth is limited by memory, not by the recursion limit."""
+
+    @pytest.mark.parametrize("right", [False, True])
+    def test_compose_chain(self, deep, right):
+        chain = deep[Compose, right]
+        assert typecheck(chain, LOOP) == (("A",), ("A",))
+        assert decomposition(chain) == {"g"}
+        assert to_diagram(chain, LOOP).wires == frozenset(
+            [(("in", 0), ("bi", 0, 0)), (("bo", DEPTH - 1, 0), ("out", 0))]
+            + [(("bo", b, 0), ("bi", b + 1, 0)) for b in range(DEPTH - 1)]
+        )
+
+    @pytest.mark.parametrize("right", [False, True])
+    def test_tensor_product(self, deep, right):
+        product = deep[Tensor, right]
+        word = ("A",) * DEPTH
+        assert typecheck(product, LOOP) == (word, word)
+        assert to_diagram(product, LOOP).wires == frozenset(
+            pair
+            for b in range(DEPTH)
+            for pair in ((("in", b), ("bi", b, 0)), (("bo", b, 0), ("out", b)))
+        )
+
+    def test_rebracketed_chain_is_equal(self, deep):
+        assert terms_equal(deep[Compose, False], deep[Compose, True], LOOP)
+
+    def test_functor_image(self, deep):
+        image = apply_functor(identity_functor(LOOP), deep[Tensor, True])
+        assert typecheck(image, LOOP) == (("A",) * DEPTH,) * 2
