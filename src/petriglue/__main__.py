@@ -1,0 +1,5 @@
+"""Run the command line as ``python -m petriglue``."""
+from .cli_io import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -42,6 +42,7 @@ from .net_model import (
     PetriNet,
     SmcPresentation,
     Transition,
+    Word,
     free_smc,
 )
 from .semantics import (
@@ -187,22 +188,30 @@ def term_to_text(term: MorphismTerm) -> str:
 
 def pretty_term(term: MorphismTerm) -> str:
     """Human form used in DOT labels: ``(f⊗f);k`` style."""
-    def go(t: MorphismTerm, parent: str) -> str:
-        if isinstance(t, Gen):
-            return t.name
-        if isinstance(t, Id):
-            return f"id({'·'.join(t.word) or 'ε'})"
-        if isinstance(t, Perm):
-            return f"σ{list(t.perm)}"
-        if isinstance(t, Compose):
-            body = f"{go(t.first, ';')};{go(t.second, ';')}"
-            return f"({body})" if parent == "⊗" else body
-        if isinstance(t, Tensor):
-            body = f"{go(t.left, '⊗')}⊗{go(t.right, '⊗')}"
-            return f"({body})" if parent == ";" else body
-        raise ValidationError(f"not a morphism term: {t!r}")
-
-    return go(term, "")
+    parts: list[str] = []
+    # Pending items: literal text, or a subterm with the operator above it.
+    stack: list[tuple[Any, str]] = [(term, "")]
+    while stack:
+        t, parent = stack.pop()
+        if isinstance(t, str):
+            parts.append(t)
+        elif isinstance(t, Gen):
+            parts.append(t.name)
+        elif isinstance(t, Id):
+            parts.append(f"id({'·'.join(t.word) or 'ε'})")
+        elif isinstance(t, Perm):
+            parts.append(f"σ{list(t.perm)}")
+        elif isinstance(t, (Compose, Tensor)):
+            op, first, second = (
+                (";", t.first, t.second) if isinstance(t, Compose) else ("⊗", t.left, t.right)
+            )
+            if parent not in ("", op):
+                parts.append("(")
+                stack.append((")", ""))
+            stack += ((second, op), (op, ""), (first, op))
+        else:
+            raise ValidationError(f"not a morphism term: {t!r}")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +226,24 @@ def _require(doc: Any, key: str, kind: type, where: str) -> Any:
     return value
 
 
+def _names(doc: Any, key: str, where: str) -> Word:
+    value = _require(doc, key, list, where)
+    if not all(isinstance(x, str) for x in value):
+        raise ParseError(f"{where}: key {key!r} must be a list of names")
+    return tuple(value)
+
+
 def _counts(doc: Any, where: str) -> Multiset:
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: expected an object of counts")
     for place, count in doc.items():
-        if not isinstance(count, int) or count < 1:
+        if type(count) is not int or count < 1:
             raise ValidationError(f"{where}: count for {place!r} must be a positive integer")
     return Multiset.from_counts(doc)
 
 
 def parse_bare_net(doc: Any, where: str = "net") -> PetriNet:
-    places = tuple(_require(doc, "places", list, where))
+    places = _names(doc, "places", where)
     transitions = []
     for i, tdoc in enumerate(_require(doc, "transitions", list, where)):
         name = _require(tdoc, "name", str, f"{where}.transitions[{i}]")
@@ -262,14 +278,14 @@ def parse_semantics(doc: Any) -> SemanticsHandle:
                 "presentations with equations are not supported: "
                 "their word problem is undecidable"
             )
-        objects = tuple(_require(doc, "objects", list, "semantics"))
+        objects = _names(doc, "objects", "semantics")
         morphisms = []
         for i, mdoc in enumerate(_require(doc, "morphisms", list, "semantics")):
             morphisms.append(
                 MorphismGenerator(
                     _require(mdoc, "name", str, f"semantics.morphisms[{i}]"),
-                    tuple(_require(mdoc, "dom", list, f"semantics.morphisms[{i}]")),
-                    tuple(_require(mdoc, "cod", list, f"semantics.morphisms[{i}]")),
+                    _names(mdoc, "dom", f"semantics.morphisms[{i}]"),
+                    _names(mdoc, "cod", f"semantics.morphisms[{i}]"),
                 )
             )
         return FreeSmc(SmcPresentation(objects, tuple(morphisms)))
@@ -303,11 +319,7 @@ def parse_fold(doc: Any, source: SmcPresentation, handle: SemanticsHandle) -> Fo
             parse_fold(_require(doc, "left", dict, "fold"), source, handle.left),
             parse_fold(_require(doc, "right", dict, "fold"), source, handle.right),
         )
-    objects_doc = _require(doc, "objects", dict, "fold")
-    morphisms_doc = _require(doc, "morphisms", dict, "fold")
-    object_map = {name: tuple(word) for name, word in objects_doc.items()}
-    morphism_map = {name: parse_term(text) for name, text in morphisms_doc.items()}
-    return FreeFold(StrictFunctor(source, handle.presentation, object_map, morphism_map))
+    return FreeFold(StrictFunctor(source, handle.presentation, *_generator_images(doc, "fold")))
 
 
 def fold_to_doc(fold: Fold) -> dict:
@@ -345,15 +357,21 @@ def serialize_net(net_sem: NetWithSemantics) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def parse_functor(doc: Any, source: SmcPresentation, target: SmcPresentation) -> StrictFunctor:
-    objects_doc = _require(doc, "objects", dict, "functor")
-    morphisms_doc = _require(doc, "morphisms", dict, "functor")
-    return StrictFunctor(
-        source=source,
-        target=target,
-        object_map={name: tuple(word) for name, word in objects_doc.items()},
-        morphism_map={name: parse_term(text) for name, text in morphisms_doc.items()},
+def _generator_images(doc: Any, where: str) -> tuple[dict[str, Word], dict[str, MorphismTerm]]:
+    """Object images as lists of names, morphism images as term strings."""
+    objects = _require(doc, "objects", dict, where)
+    morphisms = _require(doc, "morphisms", dict, where)
+    return (
+        {name: _names(objects, name, f"{where}.objects") for name in objects},
+        {
+            name: parse_term(_require(morphisms, name, str, f"{where}.morphisms"))
+            for name in morphisms
+        },
     )
+
+
+def parse_functor(doc: Any, source: SmcPresentation, target: SmcPresentation) -> StrictFunctor:
+    return StrictFunctor(source, target, *_generator_images(doc, "functor"))
 
 
 def parse_witness(doc: Any, target: SmcPresentation) -> Witness:
@@ -370,7 +388,7 @@ def parse_recipe(doc: Any) -> SyncRecipe:
     return SyncRecipe(
         new_name=_require(doc, "name", str, "recipe"),
         expression=parse_term(_require(doc, "expression", str, "recipe")),
-        prune=bool(doc.get("prune", False)),
+        prune=_require(doc, "prune", bool, "recipe") if "prune" in doc else False,
     )
 
 

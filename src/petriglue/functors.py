@@ -55,13 +55,17 @@ class StrictFunctor:
         for obj in self.source.objects:
             if obj not in self.object_map:
                 raise ValidationError(f"object generator {obj!r} has no image")
-        declared = set(self.target.objects)
         for obj, word in self.object_map.items():
+            if obj not in self.source.object_set:
+                raise ValidationError(f"image given for unknown object generator {obj!r}")
             for letter in word:
-                if letter not in declared:
+                if letter not in self.target.object_set:
                     raise ValidationError(
                         f"image of {obj!r} uses undeclared target object {letter!r}"
                     )
+        for name in self.morphism_map:
+            if name not in self.source.morphism_index:
+                raise ValidationError(f"image given for unknown morphism generator {name!r}")
         for gen in self.source.morphisms:
             if gen.name not in self.morphism_map:
                 raise ValidationError(f"morphism generator {gen.name!r} has no image")
@@ -143,15 +147,8 @@ def is_transition_preserving(functor: StrictFunctor) -> bool:
     )
 
 
-def covers_all_target_generators(functor: StrictFunctor) -> bool:
-    """True iff every target generator occurs in some generator image."""
-    covered: set[str] = set()
-    for gen in functor.source.morphisms:
-        covered |= decomposition(functor.morphism_map[gen.name])
-    return all(gen.name in covered for gen in functor.target.morphisms)
-
-
 def uncovered_target_generators(functor: StrictFunctor) -> tuple[str, ...]:
+    """Target generators that occur in no generator image, in target order."""
     covered: set[str] = set()
     for gen in functor.source.morphisms:
         covered |= decomposition(functor.morphism_map[gen.name])
@@ -167,9 +164,6 @@ class FaithfulUpTo:
 
     bound: int
 
-    def holds(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class CounterexampleFound:
@@ -178,9 +172,6 @@ class CounterexampleFound:
     bound: int
     left: MorphismTerm
     right: MorphismTerm
-
-    def holds(self) -> bool:
-        return False
 
 
 FaithfulnessVerdict = FaithfulUpTo | CounterexampleFound

@@ -112,10 +112,6 @@ class Verdict:
         return not self.failures
 
 
-SyncVerdict = Verdict
-IdentVerdict = Verdict
-
-
 @dataclass(frozen=True)
 class Witness:
     """A net selecting components to identify, via two pattern functors."""
@@ -407,8 +403,8 @@ def merge_two_places(
 ) -> tuple[SmcPresentation, StrictFunctor]:
     """Identify two places directly: drop one, rename its occurrences.
 
-    Fast path for the one-place witness; agrees with :func:`coequalize_tp`
-    on that witness up to presentation isomorphism.
+    Agrees with :func:`coequalize_tp` on the one-place witness up to
+    presentation isomorphism.
     """
     if keep == drop:
         raise SamePlaceError("cannot merge a place with itself")
@@ -442,24 +438,6 @@ def merge_two_places(
     return merged, functor
 
 
-def _sequential_merge(
-    sig: SmcPresentation, pairs: Sequence[tuple[str, str]]
-) -> StrictFunctor:
-    """Composite of two-place merges, keeping the order-minimal name."""
-    total = identity_functor(sig)
-    current = sig
-    for left_name, right_name in pairs:
-        a = total.map_object(left_name)[0]
-        b = total.map_object(right_name)[0]
-        if a == b:
-            continue
-        order = {name: i for i, name in enumerate(current.objects)}
-        keep, drop = (a, b) if order[a] <= order[b] else (b, a)
-        current, step = merge_two_places(current, keep, drop)
-        total = compose_functors(total, step)
-    return total
-
-
 def factor_fold_through_coequalizer(coequalizer: StrictFunctor, fold: Fold) -> Fold:
     """Induce a fold on the quotient, checking it is single-valued.
 
@@ -483,9 +461,19 @@ def factor_fold_through_coequalizer(coequalizer: StrictFunctor, fold: Fold) -> F
     quotient = coequalizer.target
     carrier = fold.functor
 
+    place_members: dict[str, list[str]] = {obj: [] for obj in quotient.objects}
+    for o in source.objects:
+        image = coequalizer.map_object(o)
+        if len(image) == 1:
+            place_members[image[0]].append(o)
+    first_member: dict[str, MorphismGenerator] = {}
+    for m in source.morphisms:
+        parts = decomposition(coequalizer.morphism_map[m.name])
+        if len(parts) == 1:
+            first_member.setdefault(next(iter(parts)), m)
+
     object_map: dict[str, Word] = {}
-    for obj in quotient.objects:
-        members = [o for o in source.objects if coequalizer.map_object(o) == (obj,)]
+    for obj, members in place_members.items():
         images = {carrier.map_object(o) for o in members}
         if len(images) != 1:
             raise WellDefinednessError(
@@ -495,14 +483,9 @@ def factor_fold_through_coequalizer(coequalizer: StrictFunctor, fold: Fold) -> F
 
     morphism_map: dict[str, MorphismTerm] = {}
     for gen in quotient.morphisms:
-        members = [
-            m
-            for m in source.morphisms
-            if decomposition(coequalizer.morphism_map[m.name]) == {gen.name}
-        ]
-        if not members:
+        if gen.name not in first_member:
             raise WellDefinednessError(f"class {gen.name!r} has no members")
-        rep = members[0]
+        rep = first_member[gen.name]
 
         def conjugating_perm(rep_word: Word, sorted_word: Word, inverse: bool) -> tuple[int, ...]:
             classes = tuple(coequalizer.map_object(letter)[0] for letter in rep_word)
@@ -554,15 +537,15 @@ def identify(
 ) -> tuple[NetWithSemantics, StrictFunctor]:
     """Merge the components a witness pairs, when their semantics agree.
 
-    A witness with no transitions is handled as a chain of two-place
-    merges; otherwise the general coequalizer is computed.  The result
-    fold is the one induced on quotient classes.
+    The quotient is the coequalizer of the witness's two functors, with
+    or without witness transitions; the result fold is the one induced
+    on quotient classes.
     """
     sig = net_sem.presentation
     if witness.left.target != sig:
         raise SourceMismatchError("witness functors do not land in the given net")
     fold = net_sem.fold
-    witness_sig = free_smc(witness.net)
+    witness_sig = witness.left.source
     for obj in witness_sig.objects:
         left_obj = witness.left.map_object(obj)[0]
         right_obj = witness.right.map_object(obj)[0]
@@ -581,15 +564,7 @@ def identify(
                 "with different semantics"
             )
 
-    if not witness.net.transitions:
-        pairs = [
-            (witness.left.map_object(o)[0], witness.right.map_object(o)[0])
-            for o in witness_sig.objects
-        ]
-        coequalizer = _sequential_merge(sig, pairs)
-    else:
-        _, coequalizer = coequalize_tp(witness.left, witness.right)
-
+    _, coequalizer = coequalize_tp(witness.left, witness.right)
     induced = factor_fold_through_coequalizer(coequalizer, fold)
     result = NetWithSemantics(net_of_presentation(coequalizer.target), induced)
     return result, coequalizer

@@ -151,9 +151,6 @@ class SmcPresentation:
     def has_morphism(self, name: str) -> bool:
         return name in self.morphism_index
 
-    def object_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.objects)}
-
 
 def linearize(ms: Multiset, order: Sequence[str]) -> Word:
     """Flatten a multiset into the word sorted by the given place order.

@@ -195,10 +195,6 @@ class PairFold(Fold):
         return PairFold(self.left.after(functor), self.right.after(functor))
 
 
-def product_semantics(left: SemanticsHandle, right: SemanticsHandle) -> Product:
-    return Product(left, right)
-
-
 def pair_folds(left: Fold, right: Fold) -> PairFold:
     """Pair two folds over the same source; projections are the fields."""
     return PairFold(left, right)

@@ -28,6 +28,31 @@ from support import FIXTURES, fig1_nws
 
 # fig8a's f: [A,A] -> [C,B], composed with identities 3,000 levels deep.
 DEEP_IMAGE = "comp(" * 3000 + "gen(f)" + ",id([C,B]))" * 3000
+RUN_MAIN = "import sys; from petriglue.cli_io import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _fig8a_left_variant(tmp_path, mutate):
+    """fig8a-left's document, changed in place by ``mutate``, written out."""
+    doc = json.loads((FIXTURES / "fig8a-left.json").read_text())
+    mutate(doc)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _deepen_f(doc):
+    doc["fold"]["morphisms"]["f"] = DEEP_IMAGE
+
+
+def _python(*args):
+    """Run a fresh interpreter that imports petriglue from this checkout."""
+    src = str(FIXTURES.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 class TestTermExpressions:
@@ -147,22 +172,50 @@ class TestCli:
         assert "ok" in capsys.readouterr().out
 
     def test_validate_deeply_nested_fold_image(self, tmp_path):
-        doc = json.loads((FIXTURES / "fig8a-left.json").read_text())
-        doc["fold"]["morphisms"]["f"] = DEEP_IMAGE
-        path = tmp_path / "deep.json"
-        path.write_text(json.dumps(doc))
-        src = str(FIXTURES.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])
-        )}
-        done = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from petriglue.cli_io import main; sys.exit(main(sys.argv[1:]))",
-             "validate", str(path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        path = _fig8a_left_variant(tmp_path, _deepen_f)
+        done = _python("-c", RUN_MAIN, "validate", str(path))
         assert done.returncode in (0, 2)
         assert "Traceback" not in done.stderr
+
+    def test_dot_deeply_nested_fold_image(self, tmp_path):
+        path = _fig8a_left_variant(tmp_path, _deepen_f)
+        done = _python("-c", RUN_MAIN, "dot", str(path))
+        assert "Traceback" not in done.stderr
+        assert done.returncode == 0
+        assert 'label="f : f;id(C·B);id(C·B);' in done.stdout
+
+    def test_python_dash_m_petriglue(self):
+        done = _python("-m", "petriglue", "validate", str(FIXTURES / "fig1.json"))
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, "ok: 6 places, 4 transitions\n", ""
+        )
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(
+                lambda doc: doc["fold"]["morphisms"].update(ghost="gen(h)"), id="ghost-image"
+            ),
+            pytest.param(lambda doc: doc["fold"]["objects"].update(A="A"), id="string-word"),
+            pytest.param(
+                lambda doc: doc["transitions"][0]["post"].update(C=True), id="bool-count"
+            ),
+            pytest.param(lambda doc: doc["fold"]["morphisms"].update(f=5), id="number-term"),
+            pytest.param(
+                lambda doc: (
+                    doc["places"].append(7), doc.update(semantics={"backend": "terminal"})
+                ),
+                id="number-place",
+            ),
+        ],
+    )
+    def test_validate_rejects_junk(self, tmp_path, capsys, mutate):
+        path = _fig8a_left_variant(tmp_path, mutate)
+        assert main(["validate", str(path)]) == 2
+        assert main(["dot", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_validate_bad_document(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -191,6 +244,14 @@ class TestCli:
         by_name = {t["name"]: t for t in doc["transitions"]}
         assert by_name["gk"]["pre"] == {"A": 2, "B": 1, "C": 3}
         assert by_name["gk"]["post"] == {}
+
+    def test_sync_rejects_non_boolean_prune(self, tmp_path, capsys):
+        recipe = json.loads((FIXTURES / "recipe-gk-prune.json").read_text())
+        recipe["prune"] = "no"
+        path = tmp_path / "recipe.json"
+        path.write_text(json.dumps(recipe))
+        assert main(["sync", str(FIXTURES / "fig1.json"), "--recipe", str(path)]) == 2
+        assert "'prune' must be a bool" in capsys.readouterr().err
 
     def test_identify_fig5a_places(self, tmp_path):
         out = tmp_path / "out.json"

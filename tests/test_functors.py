@@ -21,7 +21,6 @@ from petriglue import (
     apply_functor,
     check_faithful_bounded,
     compose_functors,
-    covers_all_target_generators,
     free_smc,
     identity_functor,
     is_generator_preserving_on_objects,
@@ -29,6 +28,7 @@ from petriglue import (
     is_transition_preserving,
     terms_equal,
     typecheck,
+    uncovered_target_generators,
 )
 from petriglue.errors import BudgetExceededError
 from support import fig1_net, random_embedding, random_term, random_term_with_dom
@@ -164,15 +164,15 @@ class TestPredicates:
         assert not is_transition_preserving(to_id)
 
     def test_coverage(self):
-        assert covers_all_target_generators(identity_functor(SIG))
+        assert uncovered_target_generators(identity_functor(SIG)) == ()
         empty_source = StrictFunctor(
             SmcPresentation(("A",), ()), SIG, {"A": ("A",)}, {}
         )
-        assert not covers_all_target_generators(empty_source)
+        assert uncovered_target_generators(empty_source) == ("f", "g", "h", "k")
         no_targets = StrictFunctor(
             SmcPresentation(("A",), ()), SmcPresentation(("X",), ()), {"A": ("X",)}, {}
         )
-        assert covers_all_target_generators(no_targets)
+        assert uncovered_target_generators(no_targets) == ()
 
     def test_transition_preserving_closed_under_composition(self):
         rng = random.Random(26)
@@ -193,6 +193,13 @@ class TestStrictness:
         source = SmcPresentation(("A",), ())
         with pytest.raises(ValidationError):
             StrictFunctor(source, SIG, {}, {})
+
+    def test_image_of_unknown_generator_rejected(self):
+        source = SmcPresentation(("A",), ())
+        with pytest.raises(ValidationError, match="unknown object generator 'Z'"):
+            StrictFunctor(source, SIG, {"A": ("A",), "Z": ("B",)}, {})
+        with pytest.raises(ValidationError, match="unknown morphism generator 'ghost'"):
+            StrictFunctor(source, SIG, {"A": ("A",)}, {"ghost": Gen("h")})
 
 
 class TestFaithfulness:

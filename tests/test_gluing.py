@@ -14,6 +14,8 @@ from petriglue import (
     Id,
     MorphismGenerator,
     NetWithSemantics,
+    PairFold,
+    Perm,
     PetriNet,
     PreconditionFailedError,
     SamePlaceError,
@@ -22,7 +24,9 @@ from petriglue import (
     StrictFunctor,
     SyncRecipe,
     Tensor,
+    TerminalFold,
     VerdictFailedError,
+    WellDefinednessError,
     Witness,
     apply_functor,
     boundary_compose,
@@ -44,11 +48,14 @@ from petriglue import (
     presentations_isomorphic,
     pushout_glue,
     sem_equal,
+    serialize_net,
     symmetry,
     terminal_net,
     terms_equal,
     synchronize_transitions,
 )
+from petriglue.fssmc import apply_perm, identity_perm
+from reference_gluing import _sequential_merge, identify_by_merges
 from support import (
     fig1_nws,
     fig5a_nws,
@@ -369,11 +376,122 @@ class TestIdentify:
             )
             nws = terminal_net(n)
             result, functor = identify(nws, Witness(witness_net, left, right))
-            quotient, coeq = coequalize_tp(left, right)
-            assert presentations_isomorphic(free_smc(result.net), quotient)
-            assert functor.object_map == coeq.object_map
+            stepwise = _sequential_merge(sig, pairs)
+            assert presentations_isomorphic(free_smc(result.net), stepwise.target)
+            assert functor.object_map == stepwise.object_map
             checked += 1
         assert checked >= 40
+
+    def test_free_fold_collapsing_four_places(self):
+        """Chained two-place merges re-sorted ``t``'s inputs twice and then
+        rejected this identification with a spurious WellDefinednessError."""
+        n = net("ABCD", [("t", {"A": 1, "B": 1, "C": 1, "D": 1}, {})])
+        sig = free_smc(n)
+        semantics = SmcPresentation(("X",), (MorphismGenerator("s", ("X",) * 4, ()),))
+        fold = FreeFold(
+            StrictFunctor(sig, semantics, {p: ("X",) for p in "ABCD"}, {"t": Gen("s")})
+        )
+        nws = NetWithSemantics(n, fold)
+        witness_net = PetriNet(("o0", "o1"), ())
+        witness = Witness(
+            witness_net,
+            o_n_witness_functor(witness_net, sig, {"o0": "A", "o1": "A"}),
+            o_n_witness_functor(witness_net, sig, {"o0": "D", "o1": "C"}),
+        )
+        with pytest.raises(WellDefinednessError):
+            identify_by_merges(nws, witness)
+        result, coequalizer = identify(nws, witness)
+        assert result.net.places == ("A", "B")
+        assert result.net.transition("t").pre.to_dict() == {"A": 3, "B": 1}
+        assert not result.net.transition("t").post
+        assert factor_fold_through_coequalizer(coequalizer, fold) == result.fold
+        assert sem_equal(
+            fold.semantics,
+            fold.morphism_image("t"),
+            result.fold.term_image(coequalizer.morphism_map["t"]),
+        )
+
+
+def _random_free_fold(rng: random.Random, n: PetriNet) -> FreeFold:
+    """Places go to one of up to three objects, so many share an image;
+    each transition goes to a generator, shared with an earlier transition
+    of the same boundaries half the time, behind a random input symmetry."""
+    sig = free_smc(n)
+    objects = ("X", "Y", "Z")[: rng.randint(1, 3)]
+    object_map = {p: (rng.choice(objects),) for p in n.places}
+    generators: list[MorphismGenerator] = []
+    morphism_map = {}
+    for t in sig.morphisms:
+        mapped_dom = tuple(object_map[p][0] for p in t.dom)
+        perm = list(range(len(mapped_dom)))
+        rng.shuffle(perm)
+        dom = apply_perm(mapped_dom, perm)
+        cod = tuple(object_map[p][0] for p in t.cod)
+        same = [g for g in generators if (g.dom, g.cod) == (dom, cod)]
+        if same and rng.random() < 0.5:
+            name = rng.choice(same).name
+        else:
+            name = f"s{len(generators)}"
+            generators.append(MorphismGenerator(name, dom, cod))
+        image = Gen(name)
+        if tuple(perm) != identity_perm(len(perm)):
+            image = Compose(Perm(mapped_dom, tuple(perm)), image)
+        morphism_map[t.name] = image
+    target = SmcPresentation(objects, tuple(generators))
+    return FreeFold(StrictFunctor(sig, target, object_map, morphism_map))
+
+
+class TestIdentifyAgainstChainedMerges:
+    """``identify`` against the chained two-place merges it used to run on
+    witnesses without transitions (``reference_gluing``)."""
+
+    def test_random_place_witnesses(self):
+        rng = random.Random(59)
+        agreed = rejected_by_reference = 0
+        for _ in range(300):
+            n = random_net(rng, max_places=6, max_transitions=4)
+            sig = free_smc(n)
+            kind = rng.choice(["free", "free", "pair", "terminal"])
+            if kind == "terminal":
+                fold = TerminalFold(sig)
+            else:
+                fold = _random_free_fold(rng, n)
+                if kind == "pair":
+                    second = rng.choice([_random_free_fold(rng, n), TerminalFold(sig)])
+                    fold = PairFold(fold, second)
+            pairs = []
+            for _ in range(rng.randint(1, 5)):
+                a = rng.choice(n.places)
+                mates = [
+                    b for b in n.places
+                    if b != a and fold.object_image(b) == fold.object_image(a)
+                ]
+                if mates:
+                    pairs.append((a, rng.choice(mates)))
+            if not pairs:
+                continue
+            nws = NetWithSemantics(n, fold)
+            witness_net = PetriNet(tuple(f"o{i}" for i in range(len(pairs))), ())
+            witness = Witness(
+                witness_net,
+                o_n_witness_functor(
+                    witness_net, sig, {f"o{i}": a for i, (a, _) in enumerate(pairs)}
+                ),
+                o_n_witness_functor(
+                    witness_net, sig, {f"o{i}": b for i, (_, b) in enumerate(pairs)}
+                ),
+            )
+            result, functor = identify(nws, witness)
+            try:
+                expected, stepwise = identify_by_merges(nws, witness)
+            except WellDefinednessError:
+                rejected_by_reference += 1
+                continue
+            assert serialize_net(result) == serialize_net(expected)
+            assert list(functor.object_map.items()) == list(stepwise.object_map.items())
+            agreed += 1
+        assert agreed >= 100
+        assert rejected_by_reference > 0
 
 
 class TestMonoidalProduct:

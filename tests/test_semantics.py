@@ -26,7 +26,6 @@ from petriglue import (
     identity_fold,
     identity_functor,
     pair_folds,
-    product_semantics,
     sem_equal,
     symmetry,
     terminal_net,
@@ -70,7 +69,7 @@ class TestSemEqual:
                 MorphismGenerator("h", ("X",), ("X",)),
             ),
         )
-        product = product_semantics(FreeSmc(handle), FreeSmc(handle))
+        product = Product(FreeSmc(handle), FreeSmc(handle))
         g, h = Gen("g"), Gen("h")
         assert sem_equal(product, (g, g), (g, g))
         assert not sem_equal(product, (g, g), (g, h))
