@@ -43,7 +43,6 @@ from .net_model import (
     SmcPresentation,
     Transition,
     Word,
-    free_smc,
 )
 from .semantics import (
     Fold,
@@ -345,7 +344,7 @@ def parse_net(text: str) -> NetWithSemantics:
     net = parse_bare_net(doc, "document")
     handle = parse_semantics(_require(doc, "semantics", dict, "document"))
     fold_doc = doc.get("fold", {})
-    fold = parse_fold(fold_doc, free_smc(net), handle)
+    fold = parse_fold(fold_doc, net.presentation, handle)
     return NetWithSemantics(net, fold)
 
 
@@ -376,11 +375,10 @@ def parse_functor(doc: Any, source: SmcPresentation, target: SmcPresentation) ->
 
 def parse_witness(doc: Any, target: SmcPresentation) -> Witness:
     net = parse_bare_net(_require(doc, "net", dict, "witness"), "witness.net")
-    sig = free_smc(net)
     return Witness(
         net,
-        parse_functor(_require(doc, "l", dict, "witness"), sig, target),
-        parse_functor(_require(doc, "r", dict, "witness"), sig, target),
+        parse_functor(_require(doc, "l", dict, "witness"), net.presentation, target),
+        parse_functor(_require(doc, "r", dict, "witness"), net.presentation, target),
     )
 
 
@@ -616,9 +614,8 @@ def _run(args: argparse.Namespace) -> int:
         left = _load_net(args.left)
         right = _load_net(args.right)
         witness_net = parse_bare_net(_load_json(args.witness), "witness")
-        sig = free_smc(witness_net)
-        lmap = parse_functor(_load_json(args.lmap), sig, left.presentation)
-        rmap = parse_functor(_load_json(args.rmap), sig, right.presentation)
+        lmap = parse_functor(_load_json(args.lmap), witness_net.presentation, left.presentation)
+        rmap = parse_functor(_load_json(args.rmap), witness_net.presentation, right.presentation)
         result = pushout_glue(left, right, witness_net, lmap, rmap)
         _emit(serialize_net(result.net), args.out)
         return 0

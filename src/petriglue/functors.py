@@ -22,12 +22,11 @@ from .fssmc import (
     Id,
     MorphismTerm,
     Perm,
-    StringDiagram,
     Tensor,
     apply_perm,
     block_permutation,
     decomposition,
-    diagram_equal,
+    diagram_key,
     fold_term,
     identity_perm,
     sorting_permutation,
@@ -246,10 +245,11 @@ def check_faithful_bounded(
 
     All firing sequences of up to ``bound`` generator occurrences are
     realized as terms with canonical symmetries, grouped into parallel
-    classes together with the identity on each boundary word.  A pair
-    with distinct diagrams but diagram-equal images is a certificate of
-    unfaithfulness; otherwise the functor is faithful on everything the
-    enumeration reaches.
+    classes together with the identity on each boundary word.  In each
+    class of two or more, terms collapse by diagram key and their images
+    are grouped by key: the first image group with two members is the
+    certificate of unfaithfulness.  Otherwise the functor is faithful on
+    everything the enumeration reaches.
     """
     if bound < 1:
         raise PreconditionFailedError("faithfulness bound must be >= 1")
@@ -260,31 +260,27 @@ def check_faithful_bounded(
             f"{total} candidate sequences exceed the node limit {node_limit}"
         )
 
-    groups: dict[tuple[Word, Word], list[tuple[MorphismTerm, StringDiagram]]] = {}
-
-    def add(term: MorphismTerm, dom: Word, cod: Word) -> None:
-        groups.setdefault((dom, cod), []).append((term, to_diagram(term, functor.source)))
-
+    classes: dict[tuple[Word, Word], list[MorphismTerm]] = {}
     sequences: list[list[str]] = [[]]
     for _ in range(bound):
         sequences = [seq + [name] for seq in sequences for name in names]
         for seq in sequences:
             dom, cod, term = _canonical_firing_term(functor.source, seq)
-            add(term, dom, cod)
+            classes.setdefault((dom, cod), []).append(term)
 
-    for (dom, cod) in list(groups):
+    for (dom, cod), terms in classes.items():
         if dom == cod:
-            add(Id(dom), dom, cod)
-
-    for members in groups.values():
-        images = [
-            to_diagram(apply_functor(functor, term), functor.target)
-            for term, _ in members
-        ]
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if diagram_equal(members[i][1], members[j][1]):
-                    continue
-                if diagram_equal(images[i], images[j]):
-                    return CounterexampleFound(bound, members[i][0], members[j][0])
+            terms.append(Id(dom))
+        if len(terms) < 2:
+            continue
+        members: dict[tuple, MorphismTerm] = {}
+        for term in terms:
+            members.setdefault(diagram_key(to_diagram(term, functor.source)), term)
+        by_image: dict[tuple, list[MorphismTerm]] = {}
+        for term in members.values():
+            image = to_diagram(apply_functor(functor, term), functor.target)
+            by_image.setdefault(diagram_key(image), []).append(term)
+        for group in by_image.values():
+            if len(group) > 1:
+                return CounterexampleFound(bound, group[0], group[1])
     return FaithfulUpTo(bound)

@@ -68,7 +68,6 @@ from .net_model import (
     SmcPresentation,
     Transition,
     Word,
-    free_smc,
     net_coproduct,
     net_of_presentation,
     prune_isolated_places,
@@ -121,9 +120,8 @@ class Witness:
     right: StrictFunctor
 
     def __post_init__(self) -> None:
-        sig = free_smc(self.net)
         for name, functor in (("left", self.left), ("right", self.right)):
-            if functor.source != sig:
+            if functor.source != self.net.presentation:
                 raise PreconditionFailedError(
                     f"{name} witness functor is not defined on the witness net"
                 )
@@ -232,7 +230,7 @@ def make_synchronization(
     The commutation condition then holds by construction; the remaining
     synchronization conditions are verified and failures are fatal.
     """
-    if functor.source != free_smc(source_net) or functor.target != tgt.presentation:
+    if functor.source != source_net.presentation or functor.target != tgt.presentation:
         raise SourceMismatchError("functor does not run between the given nets")
     failures = _definition_conditions(functor, bound)
     if failures:
@@ -265,7 +263,7 @@ def synchronize_transitions(
     if recipe.prune:
         merged, _ = prune_isolated_places(merged)
 
-    merged_sig = free_smc(merged)
+    merged_sig = merged.presentation
     new_gen = merged_sig.morphism(recipe.new_name)
     morphism_map: dict[str, MorphismTerm] = {t.name: Gen(t.name) for t in survivors}
     morphism_map[recipe.new_name] = _conjugate(
@@ -621,7 +619,7 @@ def monoidal_product(
     if m_sem.semantics != n_sem.semantics:
         raise SemanticsMismatchError("nets carry different semantics")
     coproduct, iota1, iota2 = net_coproduct(m_sem.net, n_sem.net)
-    sig = free_smc(coproduct)
+    sig = coproduct.presentation
     left_places = dict(iota1.places)
     right_places = dict(iota2.places)
     left_transitions = dict(iota1.transitions)
@@ -862,15 +860,14 @@ def boundary_compose(
             )
 
     witness_net = PetriNet(tuple(f"b{i}" for i in range(len(pairing))), ())
-    witness_sig = free_smc(witness_net)
     left = StrictFunctor(
-        witness_sig,
+        witness_net.presentation,
         left_sem.presentation,
         {f"b{i}": (lp,) for i, (lp, _) in enumerate(pairing)},
         {},
     )
     right = StrictFunctor(
-        witness_sig,
+        witness_net.presentation,
         right_sem.presentation,
         {f"b{i}": (rp,) for i, (_, rp) in enumerate(pairing)},
         {},

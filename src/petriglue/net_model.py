@@ -7,6 +7,7 @@ every operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import UnknownPlaceError, ValidationError
@@ -99,6 +100,11 @@ class PetriNet:
                             f"transition {t.name!r} refers to undeclared place {place!r}"
                         )
 
+    @cached_property
+    def presentation(self) -> SmcPresentation:
+        """The net's free SMC, ``free_smc(self)``, built once per net."""
+        return free_smc(self)
+
     def transition(self, name: str) -> Transition:
         for t in self.transitions:
             if t.name == name:
@@ -148,9 +154,6 @@ class SmcPresentation:
             raise UnknownPlaceError(f"no morphism generator named {name!r}")
         return gen
 
-    def has_morphism(self, name: str) -> bool:
-        return name in self.morphism_index
-
 
 def linearize(ms: Multiset, order: Sequence[str]) -> Word:
     """Flatten a multiset into the word sorted by the given place order.
@@ -162,10 +165,12 @@ def linearize(ms: Multiset, order: Sequence[str]) -> Word:
     for name in ms.names():
         if name not in position:
             raise UnknownPlaceError(f"multiset entry {name!r} is not in the place order")
-    out: list[str] = []
-    for place in sorted(ms.names(), key=position.__getitem__):
-        out.extend([place] * ms.count(place))
-    return tuple(out)
+    return _ordered_word(ms, position)
+
+
+def _ordered_word(ms: Multiset, position: Mapping[str, int]) -> Word:
+    entries = sorted(ms.entries, key=lambda entry: position[entry[0]])
+    return tuple(place for place, count in entries for _ in range(count))
 
 
 def free_smc(net: PetriNet) -> SmcPresentation:
@@ -174,8 +179,9 @@ def free_smc(net: PetriNet) -> SmcPresentation:
     Places become object generators in declaration order; each transition
     becomes a morphism generator between the linearized pre and post sets.
     """
+    position = {place: i for i, place in enumerate(net.places)}
     morphisms = tuple(
-        MorphismGenerator(t.name, linearize(t.pre, net.places), linearize(t.post, net.places))
+        MorphismGenerator(t.name, _ordered_word(t.pre, position), _ordered_word(t.post, position))
         for t in net.transitions
     )
     return SmcPresentation(net.places, morphisms)

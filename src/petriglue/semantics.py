@@ -23,9 +23,9 @@ from .errors import (
     TypeMismatchError,
     ValidationError,
 )
-from .fssmc import MorphismTerm, diagram_equal, to_diagram, typecheck
+from .fssmc import MorphismTerm, diagram_equal, to_diagram
 from .functors import StrictFunctor, apply_functor, compose_functors, identity_functor
-from .net_model import PetriNet, SmcPresentation, Word, free_smc
+from .net_model import PetriNet, SmcPresentation, Word
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,10 @@ def sem_equal(handle: SemanticsHandle, first: SemValue, second: SemValue) -> boo
     if isinstance(handle, Terminal):
         return True
     if isinstance(handle, FreeSmc):
-        sig = handle.presentation
-        if typecheck(first, sig) != typecheck(second, sig):
+        d1, d2 = (to_diagram(term, handle.presentation) for term in (first, second))
+        if (d1.inputs, d1.outputs) != (d2.inputs, d2.outputs):
             raise TypeMismatchError("compared terms must be parallel")
-        return diagram_equal(to_diagram(first, sig), to_diagram(second, sig))
+        return diagram_equal(d1, d2)
     if isinstance(handle, Product):
         return sem_equal(handle.left, first[0], second[0]) and sem_equal(
             handle.right, first[1], second[1]
@@ -208,7 +208,7 @@ class NetWithSemantics:
     fold: Fold
 
     def __post_init__(self) -> None:
-        if self.fold.source != free_smc(self.net):
+        if self.fold.source != self.net.presentation:
             raise ValidationError("fold source must be the net's own presentation")
 
     @property
@@ -260,9 +260,9 @@ def transport(change: Fold, nws: NetWithSemantics) -> NetWithSemantics:
 
 def terminal_net(net: PetriNet) -> NetWithSemantics:
     """The net with the trivial semantics assignment."""
-    return NetWithSemantics(net, TerminalFold(free_smc(net)))
+    return NetWithSemantics(net, TerminalFold(net.presentation))
 
 
 def identity_fold(net: PetriNet) -> FreeFold:
     """Fold of a net into its own category of executions."""
-    return FreeFold(identity_functor(free_smc(net)))
+    return FreeFold(identity_functor(net.presentation))

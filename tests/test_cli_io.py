@@ -1,12 +1,16 @@
 """Documents, term expressions, DOT export and the command line."""
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from petriglue import (
     Compose,
@@ -42,6 +46,62 @@ def _fig8a_left_variant(tmp_path, mutate):
 
 def _deepen_f(doc):
     doc["fold"]["morphisms"]["f"] = DEEP_IMAGE
+
+
+NET_FIXTURES = ("fig1.json", "fig5a.json", "fig8a-left.json", "fig8a-right.json")
+KEYS = st.sampled_from(
+    ("places", "transitions", "semantics", "fold", "backend", "objects", "morphisms",
+     "name", "pre", "post", "dom", "cod", "equations", "A", "C", "f", "ghost")
+) | st.text(max_size=3)
+JUNK = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 4)
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(
+        ("A", "C", "f", "free", "terminal", "product", "gen(f)", "comp(gen(f),gen(h))",
+         "ten(gen(f),id([A]))", "id([A,B])", "perm([A,A],[1,0])", "gen(")
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _paths(node, path=()):
+    """The path to ``node`` and to everything inside it."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _mutate(doc, data):
+    """Replace a value with junk, delete a key, or add a key with a junk value."""
+    paths = list(_paths(doc))
+    kind = data.draw(st.sampled_from(("replace", "delete", "add")))
+    dicts = [p for p in paths if isinstance(_at(doc, p), dict)]
+    keyed = [p for p in paths if p and isinstance(p[-1], str)]
+    if kind == "add" and dicts:
+        _at(doc, data.draw(st.sampled_from(dicts)))[data.draw(KEYS)] = data.draw(JUNK)
+    elif kind == "delete" and keyed:
+        path = data.draw(st.sampled_from(keyed))
+        del _at(doc, path[:-1])[path[-1]]
+    else:
+        path = data.draw(st.sampled_from(paths))
+        if not path:
+            return data.draw(JUNK)
+        _at(doc, path[:-1])[path[-1]] = data.draw(JUNK)
+    return doc
 
 
 def _python(*args):
@@ -269,6 +329,16 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["places"] == ["A", "B", "C1"]
 
+    def test_identify_rejects_bad_witness(self, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "witness-fig5a-places.json").read_text())
+        doc["r"]["objects"]["o"] = ["C1", "C2"]
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(doc))
+        assert main(["identify", str(FIXTURES / "fig5a.json"), "--witness", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: right witness functor must send places to places\n"
+
     def test_compose_boundary_result(self, tmp_path):
         out = tmp_path / "out.json"
         code = main(
@@ -422,6 +492,37 @@ class TestCli:
         )
         assert code == 1
         assert "verdict failure" in capsys.readouterr().err
+
+
+class TestMutatedDocuments:
+    """Fixture documents with junk values, deleted keys and added keys:
+    ``validate``, ``dot`` and ``freecat`` end alike, in success or a
+    typed error, never a traceback, and every accepted document
+    round-trips."""
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_validate_dot_freecat(self, tmp_path_factory, data):
+        doc = json.loads((FIXTURES / data.draw(st.sampled_from(NET_FIXTURES))).read_text())
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = _mutate(doc, data)
+        text = json.dumps(doc)
+        path = tmp_path_factory.mktemp("mutated") / "net.json"
+        path.write_text(text)
+        codes = []
+        for command in ("validate", "dot", "freecat"):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                codes.append(main([command, str(path)]))
+        assert codes[0] in (0, 1, 2)
+        assert codes == [codes[0]] * 3
+        if codes[0] == 0:
+            canonical = serialize_net(parse_net(text))
+            assert serialize_net(parse_net(canonical)) == canonical
 
 
 class TestRandomDocumentRoundTrip:

@@ -31,7 +31,16 @@ from petriglue import (
     uncovered_target_generators,
 )
 from petriglue.errors import BudgetExceededError
-from support import fig1_net, random_embedding, random_term, random_term_with_dom
+from petriglue.fssmc import identity_perm
+from support import (
+    fig1_net,
+    random_embedding,
+    random_presentation,
+    random_term,
+    random_term_with_dom,
+)
+
+import reference_functors as reference
 
 SIG = free_smc(fig1_net())
 
@@ -256,6 +265,70 @@ class TestFaithfulness:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             check_faithful_bounded(identity_functor(SIG), 4, node_limit=10)
+
+
+def random_small_functor(rng: random.Random) -> StrictFunctor:
+    """A functor from a random presentation of one to three generators.
+
+    Object images are words of length 0-2 over one or two target
+    objects, so the object map is often non-injective.  A morphism image
+    is an identity or symmetry where the mapped boundaries allow it, a
+    target generator shared with an earlier image of the same boundary,
+    a fresh generator, or a composite of two fresh generators.
+    """
+    source = random_presentation(rng, 3, 3)
+    while not source.morphisms:
+        source = random_presentation(rng, 3, 3)
+    objects = tuple(f"y{i}" for i in range(rng.randint(1, 2)))
+    object_map = {
+        obj: tuple(rng.choice(objects) for _ in range(rng.choice((0, 1, 1, 1, 2))))
+        for obj in source.objects
+    }
+    generators: list[MorphismGenerator] = []
+    images = {}
+
+    def fresh(dom, cod):
+        generators.append(MorphismGenerator(f"u{len(generators)}", dom, cod))
+        return Gen(generators[-1].name)
+
+    for gen in source.morphisms:
+        dom = tuple(letter for obj in gen.dom for letter in object_map[obj])
+        cod = tuple(letter for obj in gen.cod for letter in object_map[obj])
+        shared = [u for u in generators if (u.dom, u.cod) == (dom, cod)]
+        roll = rng.random()
+        if sorted(dom) == sorted(cod) and roll < 0.3:
+            pools = {letter: [i for i, x in enumerate(dom) if x == letter] for letter in dom}
+            for pool in pools.values():
+                rng.shuffle(pool)
+            perm = tuple(pools[letter].pop() for letter in cod)
+            images[gen.name] = Id(dom) if perm == identity_perm(len(dom)) else Perm(dom, perm)
+        elif shared and roll < 0.65:
+            images[gen.name] = Gen(rng.choice(shared).name)
+        elif roll < 0.85:
+            images[gen.name] = fresh(dom, cod)
+        else:
+            middle = tuple(rng.choice(objects) for _ in range(rng.randint(0, 2)))
+            images[gen.name] = Compose(fresh(dom, middle), fresh(middle, cod))
+    target = SmcPresentation(objects, tuple(generators))
+    return StrictFunctor(source, target, object_map, images)
+
+
+class TestFaithfulnessAgainstPairwiseOracle:
+    """Grouping by diagram key against the pairwise comparison it replaced
+    (``reference_functors``): verdicts and certificates are identical."""
+
+    def test_random_small_functors(self):
+        rng = random.Random(71)
+        cases = counterexamples = 0
+        for _ in range(400):
+            functor = random_small_functor(rng)
+            for bound in (1, 2, 3):
+                verdict = check_faithful_bounded(functor, bound)
+                assert repr(verdict) == repr(reference.check_faithful_bounded(functor, bound))
+                cases += 1
+                counterexamples += isinstance(verdict, CounterexampleFound)
+        assert cases == 1200
+        assert 100 < counterexamples < 1100
 
 
 class TestSymmetryConjugatedIsomorphisms:

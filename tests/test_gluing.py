@@ -1,6 +1,7 @@
 """Synchronizations, identifications, coproducts, pushouts, boundaries."""
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -54,9 +55,11 @@ from petriglue import (
     terms_equal,
     synchronize_transitions,
 )
+from petriglue.cli_io import parse_net, parse_witness
 from petriglue.fssmc import apply_perm, identity_perm
 from reference_gluing import _sequential_merge, identify_by_merges
 from support import (
+    FIXTURES,
     fig1_nws,
     fig5a_nws,
     fig8a_nets,
@@ -265,6 +268,51 @@ class TestMergeTwoPlaces:
             assert presentations_isomorphic(merged, quotient)
 
 
+class TestWitnessPreconditions:
+    """Each ``PreconditionFailedError`` branch of ``Witness``."""
+
+    def place_functor(self, witness_net, target, image):
+        return StrictFunctor(witness_net.presentation, target, {"o": image}, {})
+
+    def test_functor_not_on_witness_net(self):
+        target = fig5a_nws().presentation
+        witness_net = PetriNet(("o",), ())
+        other = PetriNet(("o", "p"), ())
+        stray = StrictFunctor(other.presentation, target, {"o": ("C1",), "p": ("C2",)}, {})
+        with pytest.raises(PreconditionFailedError, match="right witness functor is not defined"):
+            Witness(witness_net, self.place_functor(witness_net, target, ("C1",)), stray)
+
+    @pytest.mark.parametrize("word", [(), ("C1", "C2")], ids=["empty", "two-letters"])
+    def test_place_to_non_generator_word(self, word):
+        target = fig5a_nws().presentation
+        witness_net = PetriNet(("o",), ())
+        with pytest.raises(PreconditionFailedError, match="left witness functor must send places"):
+            Witness(
+                witness_net,
+                self.place_functor(witness_net, target, word),
+                self.place_functor(witness_net, target, ("C2",)),
+            )
+
+    def test_transition_image_not_single_box(self):
+        target = fig5a_nws().presentation
+        witness_net = net(["a", "b"], [("t", {"a": 1}, {"b": 1})])
+        left = StrictFunctor(
+            witness_net.presentation, target, {"a": ("A",), "b": ("B",)}, {"t": Gen("f1")}
+        )
+        right = StrictFunctor(
+            witness_net.presentation, target, {"a": ("A",), "b": ("A",)}, {"t": Id(("A",))}
+        )
+        with pytest.raises(PreconditionFailedError, match="right witness functor must be transition"):
+            Witness(witness_net, left, right)
+
+    def test_targets_differ(self):
+        witness_net = PetriNet(("o",), ())
+        left = self.place_functor(witness_net, fig5a_nws().presentation, ("C1",))
+        right = self.place_functor(witness_net, fig1_nws().presentation, ("C",))
+        with pytest.raises(PreconditionFailedError, match="must share their target"):
+            Witness(witness_net, left, right)
+
+
 class TestIdentify:
     def test_fig5a_place_merge_with_fold(self):
         fig5 = fig5a_nws()
@@ -287,6 +335,28 @@ class TestIdentify:
                 fig5.fold.morphism_image(gen.name),
                 result.fold.term_image(functor.morphism_map[gen.name]),
             )
+
+    def test_each_net_presented_once(self, monkeypatch):
+        """Parsing fig5a and its place witness, then identifying, builds
+        the free SMC of each distinct net once."""
+        from petriglue import cli_io, gluing, net_model, semantics
+
+        presented: list[PetriNet] = []
+        build = net_model.free_smc
+
+        def counting(n: PetriNet):
+            presented.append(n)
+            return build(n)
+
+        for module in (net_model, cli_io, gluing, semantics):
+            if hasattr(module, "free_smc"):
+                monkeypatch.setattr(module, "free_smc", counting)
+        fig5 = parse_net((FIXTURES / "fig5a.json").read_text())
+        doc = json.loads((FIXTURES / "witness-fig5a-places.json").read_text())
+        witness = parse_witness(doc, fig5.presentation)
+        result, _ = identify(fig5, witness)
+        assert [n.places for n in presented] == [fig5.net.places, ("o",), result.net.places]
+        assert len({id(n) for n in presented}) == len(presented)
 
     def test_duplicated_subnet_identification(self):
         n = net(

@@ -58,8 +58,13 @@ class TestSemEqual:
         assert not sem_equal(handle, Gen("g"), Gen("h"))
 
     def test_non_parallel_rejected(self):
-        with pytest.raises(TypeMismatchError):
+        with pytest.raises(TypeMismatchError, match="compared terms must be parallel"):
             sem_equal(FreeSmc(SIG), Gen("g"), Gen("h"))
+
+    def test_ill_typed_term_rejected_before_comparison(self):
+        with pytest.raises(TypeMismatchError) as caught:
+            sem_equal(FreeSmc(SIG), Gen("g"), Compose(Gen("g"), Gen("h")))
+        assert "parallel" not in str(caught.value)
 
     def test_product_is_conjunction(self):
         handle = SmcPresentation(
