@@ -63,11 +63,7 @@ class EmptyDecompositionError(PetriGlueError):
 
 
 class BudgetExceededError(PetriGlueError):
-    """A bounded search surpassed its configured node limit."""
-
-
-class NoSolutionWithinBoundError(PetriGlueError):
-    """The firing-vector search exhausted its bound without a solution."""
+    """A bounded search passed its node limit, or a table its cell limit."""
 
 
 class BoundaryOrientationError(PetriGlueError):

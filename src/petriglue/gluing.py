@@ -13,13 +13,14 @@ strict on the nose.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import (
     BoundaryOrientationError,
+    BudgetExceededError,
     EmptyDecompositionError,
-    NoSolutionWithinBoundError,
     PreconditionFailedError,
     SamePlaceError,
     SemanticsMismatchError,
@@ -302,13 +303,6 @@ class _UnionFind:
         self.parent[drop] = keep
 
 
-def _single_decomposition(term: MorphismTerm, role: str) -> str:
-    parts = decomposition(term)
-    if len(parts) != 1:
-        raise PreconditionFailedError(f"{role} image must use exactly one generator")
-    return next(iter(parts))
-
-
 def coequalize_tp(
     first: StrictFunctor, second: StrictFunctor
 ) -> tuple[SmcPresentation, StrictFunctor]:
@@ -337,10 +331,10 @@ def coequalize_tp(
     mor_order = {m.name: i for i, m in enumerate(target.morphisms)}
     morphisms = _UnionFind([m.name for m in target.morphisms], mor_order)
     for gen in first.source.morphisms:
-        morphisms.union(
-            _single_decomposition(first.morphism_map[gen.name], "left"),
-            _single_decomposition(second.morphism_map[gen.name], "right"),
-        )
+        # Transition-preserving images hold exactly one generator each.
+        (left_gen,) = decomposition(first.morphism_map[gen.name])
+        (right_gen,) = decomposition(second.morphism_map[gen.name])
+        morphisms.union(left_gen, right_gen)
 
     quotient_objects = tuple(o for o in target.objects if objects.find(o) == o)
 
@@ -358,9 +352,11 @@ def coequalize_tp(
         if rep == gen.name:
             quotient_morphisms.append(MorphismGenerator(rep, dom_sorted, cod_sorted))
             class_boundaries[rep] = (dom_sorted, cod_sorted)
-        elif class_boundaries.get(rep, (dom_sorted, cod_sorted)) != (dom_sorted, cod_sorted):
-            raise WellDefinednessError(
-                f"members of class {rep!r} disagree on boundaries"
+        elif class_boundaries[rep] != (dom_sorted, cod_sorted):
+            raise PreconditionFailedError(
+                f"the functors merge {gen.name!r} into {rep!r}, whose boundaries "
+                "differ; the coequalizer of this pair is not a free quotient of "
+                "the target"
             )
     quotient = SmcPresentation(quotient_objects, tuple(quotient_morphisms))
 
@@ -368,14 +364,9 @@ def coequalize_tp(
     for gen in target.morphisms:
         rep = morphisms.find(gen.name)
         rep_dom, rep_cod = class_boundaries[rep]
-        try:
-            morphism_map[gen.name] = _conjugate(
-                Gen(rep), rep_dom, rep_cod, class_word(gen.dom), class_word(gen.cod)
-            )
-        except Exception as exc:
-            raise WellDefinednessError(
-                f"members of class {rep!r} disagree on boundaries"
-            ) from exc
+        morphism_map[gen.name] = _conjugate(
+            Gen(rep), rep_dom, rep_cod, class_word(gen.dom), class_word(gen.cod)
+        )
     coequalizer = StrictFunctor(
         source=target,
         target=quotient,
@@ -682,15 +673,22 @@ def pushout_glue(
 # ---------------------------------------------------------------------------
 # Boundary composition
 
+#: Most cells the firing-vector tables may hold, so that boundary amounts
+#: in the thousands fail cleanly instead of exhausting memory.
+FIRING_TABLE_CELLS = 10**7
+
+
 def minimal_firing_vector(
     producers: Sequence[tuple[str, int]], consumers: Sequence[tuple[str, int]]
 ) -> dict[str, int]:
     """Balance token flow with the fewest total firings, all at least one.
 
-    Searches flows exhaustively up to a bound past which no assignment
-    can beat the guaranteed fallback (every producer fires once per
-    consumed token and vice versa); ties are broken lexicographically
-    in declaration order, producers first.
+    One change-making table per side covers every flow up to a bound
+    past which no assignment beats the fallback (every producer fires
+    once per consumed token and vice versa), in O((|producers| +
+    |consumers|) * bound) time and cells; ties go to the
+    lexicographically smallest counts, producers first.  Raises
+    :class:`BudgetExceededError` past :data:`FIRING_TABLE_CELLS` cells.
     """
     if not producers or not consumers:
         raise PreconditionFailedError("producer and consumer lists must be nonempty")
@@ -703,50 +701,51 @@ def minimal_firing_vector(
 
     produced = [amount for _, amount in producers]
     consumed = [amount for _, amount in consumers]
-
-    def side_best(amounts: list[int], flow: int) -> tuple[int, tuple[int, ...]] | None:
-        best: tuple[int, tuple[int, ...]] | None = None
-
-        def recurse(i: int, remaining: int, total: int, acc: list[int]) -> None:
-            nonlocal best
-            if i == len(amounts) - 1:
-                if remaining >= amounts[i] and remaining % amounts[i] == 0:
-                    count = remaining // amounts[i]
-                    candidate = (total + count, tuple(acc + [count]))
-                    if best is None or candidate < best:
-                        best = candidate
-                return
-            floor_rest = sum(amounts[i + 1 :])
-            count = 1
-            while amounts[i] * count + floor_rest <= remaining:
-                recurse(i + 1, remaining - amounts[i] * count, total + count, acc + [count])
-                count += 1
-
-        recurse(0, flow, 0, [])
-        return best
-
-    sum_p, sum_c = sum(produced), sum(consumed)
-    fallback = (
-        len(produced) * sum_c + len(consumed) * sum_p,
-        tuple([sum_c] * len(produced)),
-        tuple([sum_p] * len(consumed)),
-    )
-    best = fallback
+    fallback_total = len(produced) * sum(consumed) + len(consumed) * sum(produced)
     max_p, max_c = max(produced), max(consumed)
-    flow_cap = fallback[0] * max_p * max_c // (max_p + max_c)
-    for flow in range(max(sum_p, sum_c), flow_cap + 1):
-        side_p = side_best(produced, flow)
-        side_c = side_best(consumed, flow)
-        if side_p is None or side_c is None:
-            continue
-        candidate = (side_p[0] + side_c[0], side_p[1], side_c[1])
-        if candidate < best:
-            best = candidate
-    if best is None:  # pragma: no cover - the fallback always exists
-        raise NoSolutionWithinBoundError("no balanced firing vector within bound")
-    counts = {name: count for (name, _), count in zip(producers, best[1])}
-    counts.update({name: count for (name, _), count in zip(consumers, best[2])})
-    return counts
+    flow_cap = fallback_total * max_p * max_c // (max_p + max_c)
+    cells = (len(produced) + len(consumed) + 2) * (flow_cap + 1)
+    if cells > FIRING_TABLE_CELLS:
+        raise BudgetExceededError(
+            f"firing-vector tables need {cells} cells, more than {FIRING_TABLE_CELLS}"
+        )
+    p_rows = _change_making_rows(produced, flow_cap)
+    c_rows = _change_making_rows(consumed, flow_cap)
+    totals = [p + c for p, c in zip(p_rows[0], c_rows[0])]
+    least = min(totals)
+    p_counts, c_counts = min(
+        (_fewest_counts(produced, p_rows, flow), _fewest_counts(consumed, c_rows, flow))
+        for flow, total in enumerate(totals)
+        if total == least
+    )
+    return dict(zip(names, p_counts + c_counts))
+
+
+def _change_making_rows(amounts: list[int], cap: int) -> list[list[float]]:
+    """Suffix tables: ``rows[i][f]`` is the fewest firings of transitions
+    ``i..``, each at least once, that move exactly ``f`` tokens, or
+    ``math.inf`` when none do."""
+    rows = [[0] + [math.inf] * cap]
+    for amount in reversed(amounts):
+        row = [math.inf] * (cap + 1)
+        for f in range(amount, cap + 1):
+            row[f] = 1 + min(row[f - amount], rows[0][f - amount])
+        rows.insert(0, row)
+    return rows
+
+
+def _fewest_counts(amounts: list[int], rows: list[list[float]], flow: int) -> tuple[int, ...]:
+    """The lexicographically smallest counts that move ``flow`` tokens in
+    ``rows[0][flow]`` firings, which must be finite."""
+    counts = []
+    for i, amount in enumerate(amounts):
+        # A fitting count exists, so every smaller one leaves flow >= 0.
+        count = 1
+        while count + rows[i + 1][flow - count * amount] != rows[i][flow]:
+            count += 1
+        counts.append(count)
+        flow -= count * amount
+    return tuple(counts)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .errors import UnknownPlaceError, ValidationError
+from .errors import UnknownGeneratorError, UnknownPlaceError, ValidationError
 
 #: A word over object generators; the empty tuple is the monoidal unit.
 Word = tuple[str, ...]
@@ -109,7 +109,7 @@ class PetriNet:
         for t in self.transitions:
             if t.name == name:
                 return t
-        raise UnknownPlaceError(f"no transition named {name!r}")
+        raise UnknownGeneratorError(f"no transition named {name!r}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ class SmcPresentation:
     def morphism(self, name: str) -> MorphismGenerator:
         gen = self.morphism_index.get(name)
         if gen is None:
-            raise UnknownPlaceError(f"no morphism generator named {name!r}")
+            raise UnknownGeneratorError(f"no morphism generator named {name!r}")
         return gen
 
 

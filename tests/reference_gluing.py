@@ -1,4 +1,5 @@
-"""Identification by chained two-place merges, kept as an oracle.
+"""Chained two-place merges and the exhaustive firing-vector search,
+kept as oracles.
 
 Before every witness went through the coequalizer, ``identify`` handled
 a witness without transitions by composing one ``merge_two_places`` per
@@ -7,6 +8,10 @@ the composite's symmetries can differ from the single stable sort of
 ``coequalize_tp``; the induced fold is then rejected although the
 identification is valid.  The tests compare ``identify`` against this
 path wherever it succeeds.
+
+``minimal_firing_vector`` tried every split of every flow up to its
+bound before the change-making tables replaced it; the tests require
+equal results from both.
 """
 from __future__ import annotations
 
@@ -14,6 +19,8 @@ from typing import Sequence
 
 from petriglue import (
     NetWithSemantics,
+    PetriGlueError,
+    PreconditionFailedError,
     SemanticsObstructionError,
     SmcPresentation,
     StrictFunctor,
@@ -63,3 +70,74 @@ def identify_by_merges(
     induced = factor_fold_through_coequalizer(coequalizer, fold)
     result = NetWithSemantics(net_of_presentation(coequalizer.target), induced)
     return result, coequalizer
+
+
+class NoSolutionWithinBoundError(PetriGlueError):
+    """Stand-in for the removed library error; nothing ever raises it."""
+
+
+def minimal_firing_vector(
+    producers: Sequence[tuple[str, int]], consumers: Sequence[tuple[str, int]]
+) -> dict[str, int]:
+    """Balance token flow with the fewest total firings, all at least one.
+
+    Searches flows exhaustively up to a bound past which no assignment
+    can beat the guaranteed fallback (every producer fires once per
+    consumed token and vice versa); ties are broken lexicographically
+    in declaration order, producers first.
+    """
+    if not producers or not consumers:
+        raise PreconditionFailedError("producer and consumer lists must be nonempty")
+    for name, amount in tuple(producers) + tuple(consumers):
+        if amount < 1:
+            raise PreconditionFailedError(f"amount for {name!r} must be >= 1")
+    names = [name for name, _ in producers] + [name for name, _ in consumers]
+    if len(set(names)) != len(names):
+        raise PreconditionFailedError("transition names must be unique")
+
+    produced = [amount for _, amount in producers]
+    consumed = [amount for _, amount in consumers]
+
+    def side_best(amounts: list[int], flow: int) -> tuple[int, tuple[int, ...]] | None:
+        best: tuple[int, tuple[int, ...]] | None = None
+
+        def recurse(i: int, remaining: int, total: int, acc: list[int]) -> None:
+            nonlocal best
+            if i == len(amounts) - 1:
+                if remaining >= amounts[i] and remaining % amounts[i] == 0:
+                    count = remaining // amounts[i]
+                    candidate = (total + count, tuple(acc + [count]))
+                    if best is None or candidate < best:
+                        best = candidate
+                return
+            floor_rest = sum(amounts[i + 1 :])
+            count = 1
+            while amounts[i] * count + floor_rest <= remaining:
+                recurse(i + 1, remaining - amounts[i] * count, total + count, acc + [count])
+                count += 1
+
+        recurse(0, flow, 0, [])
+        return best
+
+    sum_p, sum_c = sum(produced), sum(consumed)
+    fallback = (
+        len(produced) * sum_c + len(consumed) * sum_p,
+        tuple([sum_c] * len(produced)),
+        tuple([sum_p] * len(consumed)),
+    )
+    best = fallback
+    max_p, max_c = max(produced), max(consumed)
+    flow_cap = fallback[0] * max_p * max_c // (max_p + max_c)
+    for flow in range(max(sum_p, sum_c), flow_cap + 1):
+        side_p = side_best(produced, flow)
+        side_c = side_best(consumed, flow)
+        if side_p is None or side_c is None:
+            continue
+        candidate = (side_p[0] + side_c[0], side_p[1], side_c[1])
+        if candidate < best:
+            best = candidate
+    if best is None:  # pragma: no cover - the fallback always exists
+        raise NoSolutionWithinBoundError("no balanced firing vector within bound")
+    counts = {name: count for (name, _), count in zip(producers, best[1])}
+    counts.update({name: count for (name, _), count in zip(consumers, best[2])})
+    return counts

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -338,6 +339,59 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: right witness functor must send places to places\n"
+
+    def test_identify_rejects_classes_with_different_boundaries(self, tmp_path, capsys):
+        net_doc = {
+            "places": ["A", "X", "B"],
+            "transitions": [
+                {"name": "t1", "pre": {"A": 1}, "post": {"B": 1}},
+                {"name": "t2", "pre": {"A": 1, "X": 1}, "post": {"X": 1, "B": 1}},
+            ],
+            "semantics": {"backend": "free", "objects": ["A", "X", "B"], "morphisms": [
+                {"name": "u", "dom": ["A"], "cod": ["B"]}]},
+            "fold": {"objects": {"A": ["A"], "X": ["X"], "B": ["B"]}, "morphisms": {
+                "t1": "gen(u)", "t2": "comp(ten(gen(u),id([X])),perm([B,X],[1,0]))"}},
+        }
+        objects = {"p": ["A"], "q": ["X"], "r": ["B"]}
+        witness_doc = {
+            "net": {"places": ["p", "q", "r"], "transitions": [
+                {"name": "g", "pre": {"p": 1, "q": 1}, "post": {"q": 1, "r": 1}}]},
+            "l": {"objects": objects, "morphisms": {
+                "g": "comp(ten(gen(t1),id([X])),perm([B,X],[1,0]))"}},
+            "r": {"objects": objects, "morphisms": {"g": "gen(t2)"}},
+        }
+        net_path, witness_path = tmp_path / "net.json", tmp_path / "witness.json"
+        net_path.write_text(json.dumps(net_doc))
+        witness_path.write_text(json.dumps(witness_doc))
+        assert main(["identify", str(net_path), "--witness", str(witness_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the functors merge 't2' into 't1'")
+
+    def test_compose_thousands_of_tokens_exceeds_budget(self, tmp_path):
+        """fig8a with boundary amounts near 5,000: the firing-vector tables
+        would need 250 million cells, so compose stops at once."""
+        amounts = {"f": 4999, "h": 5003, "k": 5001}
+        paths = []
+        for name in ("fig8a-left.json", "fig8a-right.json"):
+            doc = json.loads((FIXTURES / name).read_text())
+            for t in doc["transitions"]:
+                for side in (t["pre"], t["post"]):
+                    if "C" in side:
+                        side["C"] = amounts[t["name"]]
+            for m in doc["semantics"]["morphisms"]:
+                for key in ("dom", "cod"):
+                    if "C" in m[key]:
+                        rest = [letter for letter in m[key] if letter != "C"]
+                        m[key] = ["C"] * amounts[m["name"]] + rest
+            paths.append(tmp_path / name)
+            paths[-1].write_text(json.dumps(doc))
+        started = time.perf_counter()
+        result = _python("-m", "petriglue", "compose", "--pair", "C=C", *map(str, paths))
+        assert time.perf_counter() - started < 60
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: firing-vector tables need 250074970 cells")
 
     def test_compose_boundary_result(self, tmp_path):
         out = tmp_path / "out.json"

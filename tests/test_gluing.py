@@ -1,6 +1,7 @@
 """Synchronizations, identifications, coproducts, pushouts, boundaries."""
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
@@ -8,6 +9,7 @@ import pytest
 
 from petriglue import (
     BoundaryOrientationError,
+    BudgetExceededError,
     Compose,
     EmptyDecompositionError,
     FreeFold,
@@ -58,6 +60,7 @@ from petriglue import (
 from petriglue.cli_io import parse_net, parse_witness
 from petriglue.fssmc import apply_perm, identity_perm
 from reference_gluing import _sequential_merge, identify_by_merges
+from reference_gluing import minimal_firing_vector as reference_firing_vector
 from support import (
     FIXTURES,
     fig1_nws,
@@ -229,6 +232,26 @@ class TestCoequalize:
             {"w0": Compose(Gen("m0"), symmetry(("x1", "x0"), (1, 0)))},
         )
         with pytest.raises(PreconditionFailedError):
+            coequalize_tp(first, second)
+
+    def test_classes_with_different_boundaries_rejected(self):
+        """``t1: A -> B`` and ``t2: A X -> X B`` pass every witness check
+        but cannot share one quotient generator."""
+        target = free_smc(
+            net(["A", "X", "B"], [("t1", {"A": 1}, {"B": 1}),
+                                  ("t2", {"A": 1, "X": 1}, {"X": 1, "B": 1})])
+        )
+        witness_net = net(["p", "q", "r"], [("g", {"p": 1, "q": 1}, {"q": 1, "r": 1})])
+        objects = {"p": ("A",), "q": ("X",), "r": ("B",)}
+        first = StrictFunctor(
+            witness_net.presentation,
+            target,
+            objects,
+            {"g": Compose(Tensor(Gen("t1"), Id(("X",))), symmetry(("B", "X"), (1, 0)))},
+        )
+        second = StrictFunctor(witness_net.presentation, target, objects, {"g": Gen("t2")})
+        Witness(witness_net, first, second)
+        with pytest.raises(PreconditionFailedError, match="whose boundaries differ"):
             coequalize_tp(first, second)
 
 
@@ -648,6 +671,13 @@ class TestPushout:
                 )
 
 
+def _sides(produced, consumed):
+    return (
+        [(f"p{i}", a) for i, a in enumerate(produced)],
+        [(f"c{i}", b) for i, b in enumerate(consumed)],
+    )
+
+
 class TestMinimalFiringVector:
     def brute_force(self, producers, consumers, cap=6):
         best = None
@@ -698,6 +728,77 @@ class TestMinimalFiringVector:
     def test_rejects_empty_side(self):
         with pytest.raises(PreconditionFailedError):
             minimal_firing_vector([], [("c", 1)])
+
+    @pytest.mark.parametrize(
+        "producers, consumers",
+        [
+            ([], [("c", 1)]),
+            ([("p", 1)], []),
+            ([("p", 0)], [("c", 1)]),
+            ([("p", 1)], [("c", 0)]),
+            ([("t", 1)], [("t", 2)]),
+            ([("p", 1), ("p", 2)], [("c", 1)]),
+        ],
+        ids=["no-producer", "no-consumer", "zero-producer", "zero-consumer",
+             "shared-name", "duplicate-producer"],
+    )
+    def test_rejects_bad_input_like_the_oracle(self, producers, consumers):
+        with pytest.raises(PreconditionFailedError):
+            minimal_firing_vector(producers, consumers)
+        with pytest.raises(PreconditionFailedError):
+            reference_firing_vector(producers, consumers)
+
+    @pytest.mark.parametrize(
+        "produced, consumed, expected",
+        [
+            ((13, 17, 23), (19, 29), ((2, 2, 2), (1, 3))),
+            ((31, 37), (41, 43), ((7, 1), (2, 4))),
+            ((7, 11, 13, 17), (19, 23), ((1, 1, 1, 2), (1, 2))),
+        ],
+    )
+    def test_pinned_large_amounts(self, produced, consumed, expected):
+        """The last case has the brute-force least total 8; the exhaustive
+        search did not finish it in 290 s."""
+        counts = minimal_firing_vector(*_sides(produced, consumed))
+        assert tuple(counts.values()) == expected[0] + expected[1]
+
+    def test_table_budget(self):
+        with pytest.raises(BudgetExceededError, match="firing-vector tables need"):
+            minimal_firing_vector([("f", 4999)], [("h", 5003), ("k", 5001)])
+
+
+class TestFiringVectorAgainstExhaustiveOracle:
+    """The change-making tables against the old split search
+    (``reference_gluing.minimal_firing_vector``)."""
+
+    def test_every_small_instance(self):
+        checked = 0
+        for n_p, n_c in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]:
+            for produced in itertools.product(range(1, 6), repeat=n_p):
+                for consumed in itertools.product(range(1, 6), repeat=n_c):
+                    sides = _sides(produced, consumed)
+                    assert minimal_firing_vector(*sides) == reference_firing_vector(*sides)
+                    checked += 1
+        assert checked == 2150
+
+    def test_random_heavy_amounts(self):
+        rng = random.Random(6)
+        for _ in range(30):
+            sides = _sides(
+                [rng.randint(5, 19) for _ in range(2)], [rng.randint(5, 19) for _ in range(2)]
+            )
+            assert minimal_firing_vector(*sides) == reference_firing_vector(*sides)
+
+    @pytest.mark.parametrize(
+        "produced, consumed",
+        [((1,), (1,)), ((1, 1), (1,)), ((1,), (1, 1, 1)), ((1, 1), (1, 1))]
+        + [((1,), (b,)) for b in range(7, 20)]
+        + [((b,), (1,)) for b in range(7, 20)]
+        + [((1,), (7, 13, 19)), ((7, 11, 19), (1,))],
+    )
+    def test_edge_amounts(self, produced, consumed):
+        sides = _sides(produced, consumed)
+        assert minimal_firing_vector(*sides) == reference_firing_vector(*sides)
 
 
 class TestBoundaryCompose:

@@ -12,6 +12,7 @@ from petriglue import (
     SmcPresentation,
     MorphismGenerator,
     Transition,
+    UnknownGeneratorError,
     UnknownPlaceError,
     ValidationError,
     free_smc,
@@ -191,6 +192,14 @@ class TestValidation:
     def test_zero_count_rejected(self):
         with pytest.raises(ValidationError):
             Multiset((("A", 0),))
+
+    def test_unknown_transition(self):
+        with pytest.raises(UnknownGeneratorError, match="no transition named 'z'"):
+            fig1_net().transition("z")
+
+    def test_unknown_morphism_generator(self):
+        with pytest.raises(UnknownGeneratorError, match="no morphism generator named 'z'"):
+            free_smc(fig1_net()).morphism("z")
 
 
 class TestPresentationIsomorphism:
