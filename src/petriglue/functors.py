@@ -8,7 +8,7 @@ nodes rather than held implicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -176,17 +176,11 @@ class CounterexampleFound:
 FaithfulnessVerdict = FaithfulUpTo | CounterexampleFound
 
 
-def _canonical_firing_term(
+def _firing_boundary(
     sig: SmcPresentation, sequence: Sequence[str]
-) -> tuple[Word, Word, MorphismTerm]:
-    """Build the canonical term firing ``sequence`` from its minimal marking.
-
-    Pass one computes the smallest initial multiset feeding the sequence;
-    pass two routes tokens with leftmost-occurrence symmetries and ends
-    with the canonical sort of the final word, so every enumerated term
-    has order-sorted boundaries.
-    """
-    order = sig.objects
+) -> tuple[Word, Word]:
+    """The smallest initial marking feeding ``sequence`` and the marking
+    it leaves, both as words sorted by object order."""
     available: dict[str, int] = {}
     initial: dict[str, int] = {}
     for name in sequence:
@@ -199,12 +193,24 @@ def _canonical_firing_term(
         for letter in gen.cod:
             available[letter] = available.get(letter, 0) + 1
 
-    position = {name: i for i, name in enumerate(order)}
-    start: list[str] = []
-    for letter in sorted(initial, key=position.__getitem__):
-        start.extend([letter] * initial[letter])
-    word = tuple(start)
+    def word(counts: dict[str, int]) -> Word:
+        letters = sorted(counts, key=sig.objects.index)
+        return tuple(letter for letter in letters for _ in range(counts[letter]))
 
+    return word(initial), word(available)
+
+
+def _canonical_firing_term(
+    sig: SmcPresentation, sequence: Sequence[str]
+) -> tuple[Word, Word, MorphismTerm]:
+    """Build the canonical term firing ``sequence`` from its minimal marking.
+
+    Tokens are routed with leftmost-occurrence symmetries, and the term
+    ends with the canonical sort of the final word, so every enumerated
+    term has order-sorted boundaries (those of :func:`_firing_boundary`).
+    """
+    order = sig.objects
+    word, _ = _firing_boundary(sig, sequence)
     steps: list[MorphismTerm] = []
     current = word
     for name in sequence:
@@ -238,49 +244,134 @@ def _canonical_firing_term(
     return word, current, term
 
 
+def _relabelled_generators(functor: StrictFunctor) -> frozenset[str]:
+    """Source generators the functor merely relabels, where skipping them is safe.
+
+    A generator is relabelled when its image is ``Gen(h)`` and no other
+    image uses ``h``, under an object map sending objects injectively to
+    single objects.  Terms built from relabelled generators alone keep
+    their diagram up to a one-to-one renaming, so they collapse with
+    nothing, provided every other image holds a box: the set is empty
+    otherwise.
+    """
+    objects = [functor.map_object(obj) for obj in functor.source.objects]
+    if any(len(word) != 1 for word in objects) or len(set(objects)) != len(objects):
+        return frozenset()
+    users: dict[str, int] = {}
+    for image in functor.morphism_map.values():
+        for name in decomposition(image):
+            users[name] = users.get(name, 0) + 1
+    relabelled = frozenset(
+        name
+        for name, image in functor.morphism_map.items()
+        if isinstance(image, Gen) and users[image.name] == 1
+    )
+    if any(
+        not decomposition(image)
+        for name, image in functor.morphism_map.items()
+        if name not in relabelled
+    ):
+        return frozenset()
+    return relabelled
+
+
+def _firing_sequences(
+    names: Sequence[str], bound: int, wanted: frozenset[str]
+) -> Iterator[tuple[str, ...]]:
+    """Sequences of 1..``bound`` names that use some name in ``wanted``,
+    by length and then by name index."""
+    prefixes: list[tuple[tuple[str, ...], bool]] = [((), False)]
+    for length in range(1, bound + 1):
+        longer = []
+        for prefix, used in prefixes:
+            for name in names:
+                hit = used or name in wanted
+                if hit:
+                    yield prefix + (name,)
+                if length < bound:
+                    longer.append((prefix + (name,), hit))
+        prefixes = longer
+
+
+def _first_collapse(
+    functor: StrictFunctor, terms: list[MorphismTerm]
+) -> tuple[MorphismTerm, MorphismTerm] | None:
+    """The first two terms of the first image group with two members,
+    after terms with equal diagrams collapse to the first."""
+    members: dict[tuple, MorphismTerm] = {}
+    for term in terms:
+        members.setdefault(diagram_key(to_diagram(term, functor.source)), term)
+    by_image: dict[tuple, list[MorphismTerm]] = {}
+    for term in members.values():
+        image = to_diagram(apply_functor(functor, term), functor.target)
+        by_image.setdefault(diagram_key(image), []).append(term)
+    for group in by_image.values():
+        if len(group) > 1:
+            return group[0], group[1]
+    return None
+
+
 def check_faithful_bounded(
     functor: StrictFunctor, bound: int, node_limit: int = 50_000
 ) -> FaithfulnessVerdict:
     """Semi-decide faithfulness by enumerating canonical firing terms.
 
-    All firing sequences of up to ``bound`` generator occurrences are
-    realized as terms with canonical symmetries, grouped into parallel
-    classes together with the identity on each boundary word.  In each
+    Firing sequences of up to ``bound`` generator occurrences are
+    realized as terms with canonical symmetries, in order of length and
+    then of generator index, and grouped into parallel classes.  In each
     class of two or more, terms collapse by diagram key and their images
-    are grouped by key: the first image group with two members is the
-    certificate of unfaithfulness.  Otherwise the functor is faithful on
-    everything the enumeration reaches.
+    are grouped by key: the first image group with two members, in the
+    first class that has one, is the certificate of unfaithfulness.
+    Otherwise the functor is faithful on everything the enumeration
+    reaches.
+
+    Sequences of relabelled generators alone (:func:`_relabelled_generators`)
+    collapse with nothing and are not built.  When none are relabelled, each
+    class with equal boundaries also holds the identity.  Otherwise no
+    identity can collapse, and when several classes collapse the winner
+    is the one whose boundaries a sequence reaches first.  ``node_limit``
+    caps the sequences realized plus those scanned for boundaries.
     """
     if bound < 1:
         raise PreconditionFailedError("faithfulness bound must be >= 1")
-    names = [gen.name for gen in functor.source.morphisms]
-    total = sum(len(names) ** n for n in range(1, bound + 1))
-    if total > node_limit:
-        raise BudgetExceededError(
-            f"{total} candidate sequences exceed the node limit {node_limit}"
-        )
+    sig = functor.source
+    names = [gen.name for gen in sig.morphisms]
+    relabelled = _relabelled_generators(functor)
+    work = 0
+
+    def spend() -> None:
+        nonlocal work
+        if work == node_limit:
+            raise BudgetExceededError(
+                f"node limit {node_limit} reached: {work} firing sequences "
+                "built or scanned"
+            )
+        work += 1
 
     classes: dict[tuple[Word, Word], list[MorphismTerm]] = {}
-    sequences: list[list[str]] = [[]]
-    for _ in range(bound):
-        sequences = [seq + [name] for seq in sequences for name in names]
-        for seq in sequences:
-            dom, cod, term = _canonical_firing_term(functor.source, seq)
-            classes.setdefault((dom, cod), []).append(term)
+    for seq in _firing_sequences(names, bound, frozenset(names) - relabelled):
+        spend()
+        dom, cod, term = _canonical_firing_term(sig, seq)
+        classes.setdefault((dom, cod), []).append(term)
 
+    collapses: dict[tuple[Word, Word], tuple[MorphismTerm, MorphismTerm]] = {}
     for (dom, cod), terms in classes.items():
-        if dom == cod:
+        if dom == cod and not relabelled:
             terms.append(Id(dom))
-        if len(terms) < 2:
+        pair = _first_collapse(functor, terms) if len(terms) > 1 else None
+        if pair is None:
             continue
-        members: dict[tuple, MorphismTerm] = {}
-        for term in terms:
-            members.setdefault(diagram_key(to_diagram(term, functor.source)), term)
-        by_image: dict[tuple, list[MorphismTerm]] = {}
-        for term in members.values():
-            image = to_diagram(apply_functor(functor, term), functor.target)
-            by_image.setdefault(diagram_key(image), []).append(term)
-        for group in by_image.values():
-            if len(group) > 1:
-                return CounterexampleFound(bound, group[0], group[1])
-    return FaithfulUpTo(bound)
+        if not relabelled:
+            return CounterexampleFound(bound, *pair)
+        collapses[(dom, cod)] = pair
+    if not collapses:
+        return FaithfulUpTo(bound)
+    first = next(iter(collapses))
+    if len(collapses) > 1:
+        # A skipped sequence may reach a class before its first built one.
+        for seq in _firing_sequences(names, bound, frozenset(names)):
+            spend()
+            first = _firing_boundary(sig, seq)
+            if first in collapses:
+                break
+    return CounterexampleFound(bound, *collapses[first])

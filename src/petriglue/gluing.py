@@ -674,8 +674,10 @@ def pushout_glue(
 # Boundary composition
 
 #: Most cells the firing-vector tables may hold, so that boundary amounts
-#: in the thousands fail cleanly instead of exhausting memory.
-FIRING_TABLE_CELLS = 10**7
+#: near a thousand fail cleanly instead of exhausting memory.  A cell
+#: costs about 35 bytes, since counts above 256 are separate int objects,
+#: so the limit is about 70 MiB of tables.
+FIRING_TABLE_CELLS = 2 * 10**6
 
 
 def minimal_firing_vector(

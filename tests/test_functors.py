@@ -21,6 +21,7 @@ from petriglue import (
     apply_functor,
     check_faithful_bounded,
     compose_functors,
+    decomposition,
     free_smc,
     identity_functor,
     is_generator_preserving_on_objects,
@@ -51,6 +52,31 @@ def doubling_functor() -> StrictFunctor:
     target = SmcPresentation(("X", "Y"), (MorphismGenerator("u", ("X", "Y"), ("X", "Y", "X", "Y")),))
     return StrictFunctor(
         source, target, {"A": ("X", "Y")}, {"t": Gen("u")}
+    )
+
+
+def composite_collapse_functor() -> StrictFunctor:
+    """``c`` goes to the composite of the images of ``a`` and ``b``."""
+    source = SmcPresentation(
+        ("A", "B", "C"),
+        (
+            MorphismGenerator("a", ("A",), ("B",)),
+            MorphismGenerator("b", ("B",), ("C",)),
+            MorphismGenerator("c", ("A",), ("C",)),
+        ),
+    )
+    target = SmcPresentation(
+        ("X", "Y", "Z"),
+        (
+            MorphismGenerator("p", ("X",), ("Y",)),
+            MorphismGenerator("q", ("Y",), ("Z",)),
+        ),
+    )
+    return StrictFunctor(
+        source,
+        target,
+        {"A": ("X",), "B": ("Y",), "C": ("Z",)},
+        {"a": Gen("p"), "b": Gen("q"), "c": Compose(Gen("p"), Gen("q"))},
     )
 
 
@@ -227,28 +253,7 @@ class TestFaithfulness:
         )
 
     def test_composite_collapse_detected(self):
-        source = SmcPresentation(
-            ("A", "B", "C"),
-            (
-                MorphismGenerator("a", ("A",), ("B",)),
-                MorphismGenerator("b", ("B",), ("C",)),
-                MorphismGenerator("c", ("A",), ("C",)),
-            ),
-        )
-        target = SmcPresentation(
-            ("X", "Y", "Z"),
-            (
-                MorphismGenerator("p", ("X",), ("Y",)),
-                MorphismGenerator("q", ("Y",), ("Z",)),
-            ),
-        )
-        functor = StrictFunctor(
-            source,
-            target,
-            {"A": ("X",), "B": ("Y",), "C": ("Z",)},
-            {"a": Gen("p"), "b": Gen("q"), "c": Compose(Gen("p"), Gen("q"))},
-        )
-        verdict = check_faithful_bounded(functor, 2)
+        verdict = check_faithful_bounded(composite_collapse_functor(), 2)
         assert isinstance(verdict, CounterexampleFound)
 
     def test_identity_functor_is_faithful(self):
@@ -263,8 +268,47 @@ class TestFaithfulness:
             assert isinstance(check_faithful_bounded(functor, 2), FaithfulUpTo)
 
     def test_budget(self):
+        """``c`` shares ``p`` and ``q`` with ``a`` and ``b``, so nothing is
+        skipped and the 120 sequences pass the limit."""
+        with pytest.raises(BudgetExceededError, match="10 firing sequences"):
+            check_faithful_bounded(composite_collapse_functor(), 4, node_limit=10)
+
+    def test_budget_counts_built_sequences(self):
+        """The identity relabels every generator, so no sequence is built."""
+        assert check_faithful_bounded(identity_functor(SIG), 4, node_limit=10) == FaithfulUpTo(4)
+
+    def test_synchronization_shaped_functor_past_the_old_budget(self):
+        """39 generators kept and one sent to a composite: 65,640 sequences
+        in all, of which only the 4,761 using ``n`` are built."""
+        kept = [MorphismGenerator(f"t{i}", (f"A{i}",), (f"B{i}",)) for i in range(39)]
+        objects = tuple(o for gen in kept for o in gen.dom + gen.cod) + ("P", "M", "Q")
+        source = SmcPresentation(objects, (*kept, MorphismGenerator("n", ("P",), ("Q",))))
+        target = SmcPresentation(
+            objects,
+            (
+                *kept,
+                MorphismGenerator("p", ("P",), ("M",)),
+                MorphismGenerator("c", ("M",), ("Q",)),
+            ),
+        )
+        functor = StrictFunctor(
+            source,
+            target,
+            {o: (o,) for o in objects},
+            {**{gen.name: Gen(gen.name) for gen in kept}, "n": Compose(Gen("p"), Gen("c"))},
+        )
+        assert check_faithful_bounded(functor, 3) == FaithfulUpTo(3)
         with pytest.raises(BudgetExceededError):
-            check_faithful_bounded(identity_functor(SIG), 4, node_limit=10)
+            check_faithful_bounded(functor, 3, node_limit=4760)
+
+
+def random_symmetry(rng: random.Random, dom, cod):
+    """An identity or symmetry from ``dom`` to ``cod``, equal as multisets."""
+    pools = {letter: [i for i, x in enumerate(dom) if x == letter] for letter in dom}
+    for pool in pools.values():
+        rng.shuffle(pool)
+    perm = tuple(pools[letter].pop() for letter in cod)
+    return Id(dom) if perm == identity_perm(len(dom)) else Perm(dom, perm)
 
 
 def random_small_functor(rng: random.Random) -> StrictFunctor:
@@ -297,11 +341,7 @@ def random_small_functor(rng: random.Random) -> StrictFunctor:
         shared = [u for u in generators if (u.dom, u.cod) == (dom, cod)]
         roll = rng.random()
         if sorted(dom) == sorted(cod) and roll < 0.3:
-            pools = {letter: [i for i, x in enumerate(dom) if x == letter] for letter in dom}
-            for pool in pools.values():
-                rng.shuffle(pool)
-            perm = tuple(pools[letter].pop() for letter in cod)
-            images[gen.name] = Id(dom) if perm == identity_perm(len(dom)) else Perm(dom, perm)
+            images[gen.name] = random_symmetry(rng, dom, cod)
         elif shared and roll < 0.65:
             images[gen.name] = Gen(rng.choice(shared).name)
         elif roll < 0.85:
@@ -311,6 +351,92 @@ def random_small_functor(rng: random.Random) -> StrictFunctor:
             images[gen.name] = Compose(fresh(dom, middle), fresh(middle, cod))
     target = SmcPresentation(objects, tuple(generators))
     return StrictFunctor(source, target, object_map, images)
+
+
+def random_relabelling_functor(rng: random.Random) -> StrictFunctor:
+    """A functor relabelling part of a random source of one to four generators.
+
+    Objects go injectively to single objects.  A morphism image is a
+    fresh generator (a relabelling), a target generator shared with an
+    earlier image of the same boundary, a composite of two generators,
+    or an identity or symmetry where the boundaries allow it.
+    """
+    source = random_presentation(rng, 2, 4)
+    while not source.morphisms:
+        source = random_presentation(rng, 2, 4)
+    object_map = {obj: (f"y{i}",) for i, obj in enumerate(source.objects)}
+    objects = tuple(word[0] for word in object_map.values())
+    generators: list[MorphismGenerator] = []
+    images = {}
+
+    def target_gen(dom, cod, share):
+        shared = [u for u in generators if (u.dom, u.cod) == (dom, cod)]
+        if shared and share:
+            return Gen(rng.choice(shared).name)
+        generators.append(MorphismGenerator(f"u{len(generators)}", dom, cod))
+        return Gen(generators[-1].name)
+
+    for gen in source.morphisms:
+        dom = tuple(letter for obj in gen.dom for letter in object_map[obj])
+        cod = tuple(letter for obj in gen.cod for letter in object_map[obj])
+        roll = rng.random()
+        if sorted(dom) == sorted(cod) and roll < 0.1:
+            images[gen.name] = random_symmetry(rng, dom, cod)
+        elif roll < 0.4:
+            images[gen.name] = target_gen(dom, cod, share=False)
+        elif roll < 0.85:
+            images[gen.name] = target_gen(dom, cod, share=True)
+        else:
+            middle = tuple(rng.choice(objects) for _ in range(rng.randint(0, 2)))
+            images[gen.name] = Compose(
+                target_gen(dom, middle, share=rng.random() < 0.5),
+                target_gen(middle, cod, share=rng.random() < 0.5),
+            )
+    target = SmcPresentation(objects, tuple(generators))
+    return StrictFunctor(source, target, object_map, images)
+
+
+def relabelling_candidates(functor: StrictFunctor) -> set[str]:
+    """Generators sent to ``Gen(h)`` with ``h`` in no other image, under an
+    injective object map to single objects."""
+    images = list(functor.object_map.values())
+    if any(len(word) != 1 for word in images) or len(set(images)) != len(images):
+        return set()
+    return {
+        name
+        for name, image in functor.morphism_map.items()
+        if isinstance(image, Gen)
+        and not any(
+            image.name in decomposition(other)
+            for other_name, other in functor.morphism_map.items()
+            if other_name != name
+        )
+    }
+
+
+def class_order_from_skipped_sequence(
+    functor: StrictFunctor, bound: int, relabelled: set[str]
+) -> bool:
+    """Whether two or more classes collapse and the first of them, in the
+    full enumeration, is not the first reached by a sequence using a
+    generator outside ``relabelled``."""
+    classes = reference.parallel_classes(functor, bound)
+    collapsing = [
+        key for key, members in classes.items()
+        if reference.collapsing_pair(functor, members) is not None
+    ]
+    if len(collapsing) < 2:
+        return False
+    index = {gen.name: i for i, gen in enumerate(functor.source.morphisms)}
+
+    def first_built(key):
+        return min(
+            (len(seq), [index[name] for name in seq])
+            for seq, _, _ in classes[key]
+            if set(seq) - relabelled
+        )
+
+    return min(collapsing, key=first_built) != collapsing[0]
 
 
 class TestFaithfulnessAgainstPairwiseOracle:
@@ -328,6 +454,33 @@ class TestFaithfulnessAgainstPairwiseOracle:
                 cases += 1
                 counterexamples += isinstance(verdict, CounterexampleFound)
         assert cases == 1200
+        assert 100 < counterexamples < 1100
+
+    def test_random_relabelling_functors(self):
+        """Sequences of relabelled generators are skipped, a boxless image
+        empties the relabelled set, and skipped sequences order classes."""
+        rng = random.Random(72)
+        cases = counterexamples = skipping = fallbacks = reordered = 0
+        for _ in range(400):
+            functor = random_relabelling_functor(rng)
+            relabelled = relabelling_candidates(functor)
+            if relabelled and any(
+                not decomposition(image)
+                for name, image in functor.morphism_map.items()
+                if name not in relabelled
+            ):
+                relabelled = set()
+                fallbacks += 1
+            skipping += bool(relabelled)
+            for bound in (1, 2, 3):
+                verdict = check_faithful_bounded(functor, bound)
+                assert repr(verdict) == repr(reference.check_faithful_bounded(functor, bound))
+                cases += 1
+                counterexamples += isinstance(verdict, CounterexampleFound)
+                if relabelled and isinstance(verdict, CounterexampleFound):
+                    reordered += class_order_from_skipped_sequence(functor, bound, relabelled)
+        assert cases == 1200
+        assert skipping > 250 and fallbacks > 15 and reordered >= 10, (skipping, fallbacks, reordered)
         assert 100 < counterexamples < 1100
 
 

@@ -57,8 +57,11 @@ from petriglue import (
     terms_equal,
     synchronize_transitions,
 )
+import petriglue.functors
+import petriglue.gluing
 from petriglue.cli_io import parse_net, parse_witness
 from petriglue.fssmc import apply_perm, identity_perm
+import reference_functors
 from reference_gluing import _sequential_merge, identify_by_merges
 from reference_gluing import minimal_firing_vector as reference_firing_vector
 from support import (
@@ -766,6 +769,13 @@ class TestMinimalFiringVector:
         with pytest.raises(BudgetExceededError, match="firing-vector tables need"):
             minimal_firing_vector([("f", 4999)], [("h", 5003), ("k", 5001)])
 
+    def test_table_budget_bounds_memory(self):
+        """997 against 1009 needs 4.0 million cells, about 140 MiB of
+        tables; 499 against 503 needs about one million and still fits."""
+        with pytest.raises(BudgetExceededError, match="4023896 cells"):
+            minimal_firing_vector([("p", 997)], [("c", 1009)])
+        assert minimal_firing_vector([("p", 499)], [("c", 503)]) == {"p": 503, "c": 499}
+
 
 class TestFiringVectorAgainstExhaustiveOracle:
     """The change-making tables against the old split search
@@ -870,6 +880,67 @@ class TestBoundaryCompose:
         )
         with pytest.raises(BoundaryOrientationError):
             boundary_compose(left_sem, right_sem, [("X", "X")])
+
+
+def k_boundary_pair(k: int) -> tuple[NetWithSemantics, NetWithSemantics, list[tuple[str, str]]]:
+    """Left ``p_i: I_i -> X_i`` and right ``c_i: X_i -> O_i`` for ``i < k``,
+    with free semantics, paired on every ``X_i``."""
+    places = [f"{kind}{i}" for kind in "IXO" for i in range(k)]
+    steps = [(f"p{i}", f"I{i}", f"X{i}") for i in range(k)]
+    steps += [(f"c{i}", f"X{i}", f"O{i}") for i in range(k)]
+    semantics = SmcPresentation(
+        tuple(places), tuple(MorphismGenerator(t, (a,), (b,)) for t, a, b in steps)
+    )
+
+    def side(kinds, transitions):
+        n = net(
+            [p for p in places if p[0] in kinds],
+            [(t, {a: 1}, {b: 1}) for t, a, b in transitions],
+        )
+        return NetWithSemantics(n, FreeFold(StrictFunctor(
+            free_smc(n),
+            semantics,
+            {p: (p,) for p in n.places},
+            {t: Gen(t) for t, _, _ in transitions},
+        )))
+
+    return side("IX", steps[:k]), side("XO", steps[k:]), [(f"X{i}", f"X{i}") for i in range(k)]
+
+
+class TestBoundaryComposeSkipsRelabelledSequences:
+    def test_each_step_builds_only_sequences_with_its_new_transition(self, monkeypatch):
+        """Every sync step relabels its survivors, so only firing sequences
+        using the new transition become terms; the result is the one the
+        full enumeration gives."""
+        left, right, pairing = k_boundary_pair(4)
+        monkeypatch.setattr(
+            petriglue.gluing, "check_faithful_bounded", reference_functors.check_faithful_bounded
+        )
+        full = boundary_compose(left, right, pairing)
+        monkeypatch.undo()
+
+        steps: list[tuple[int, int, list[tuple[str, ...]]]] = []
+        check = petriglue.gluing.check_faithful_bounded
+        build = petriglue.functors._canonical_firing_term
+
+        def counting_check(functor, bound, *rest):
+            steps.append((len(functor.source.morphisms), bound, []))
+            return check(functor, bound, *rest)
+
+        def counting_build(sig, sequence):
+            steps[-1][2].append(tuple(sequence))
+            return build(sig, sequence)
+
+        monkeypatch.setattr(petriglue.gluing, "check_faithful_bounded", counting_check)
+        monkeypatch.setattr(petriglue.functors, "_canonical_firing_term", counting_build)
+        result = boundary_compose(left, right, pairing)
+
+        assert len(steps) == 4
+        for i, (gens, bound, built) in enumerate(steps):
+            assert all(f"p{i}+c{i}" in seq for seq in built)
+            assert len(built) == sum(gens**n - (gens - 1) ** n for n in range(1, bound + 1))
+        assert result == full
+        assert serialize_net(result.net) == serialize_net(full.net)
 
 
 class TestGluingFunctorsAreWellBehaved:
