@@ -10,6 +10,7 @@ embedded as strings in a small expression grammar::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -262,14 +263,28 @@ def bare_net_to_doc(net: PetriNet) -> dict:
     }
 
 
+#: Deepest nesting of product backends a document may declare.  Every
+#: layer that walks a semantics or fold recurses once per level.
+MAX_PRODUCT_DEPTH = 64
+
+
 def parse_semantics(doc: Any) -> SemanticsHandle:
+    """Parse a backend; products nest at most ``MAX_PRODUCT_DEPTH`` deep."""
+    return _parse_semantics(doc, 0)
+
+
+def _parse_semantics(doc: Any, depth: int) -> SemanticsHandle:
     backend = _require(doc, "backend", str, "semantics")
     if backend == "terminal":
         return Terminal()
     if backend == "product":
+        if depth == MAX_PRODUCT_DEPTH:
+            raise ValidationError(
+                f"semantics: products nest deeper than {MAX_PRODUCT_DEPTH}"
+            )
         return Product(
-            parse_semantics(_require(doc, "left", dict, "semantics")),
-            parse_semantics(_require(doc, "right", dict, "semantics")),
+            _parse_semantics(_require(doc, "left", dict, "semantics"), depth + 1),
+            _parse_semantics(_require(doc, "right", dict, "semantics"), depth + 1),
         )
     if backend == "free":
         if doc.get("equations"):
@@ -341,6 +356,8 @@ def parse_net(text: str) -> NetWithSemantics:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("document nests too deeply") from exc
     net = parse_bare_net(doc, "document")
     handle = parse_semantics(_require(doc, "semantics", dict, "document"))
     fold_doc = doc.get("fold", {})
@@ -475,6 +492,8 @@ def _load_json(path: str) -> Any:
         return json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: document nests too deeply") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -504,6 +523,7 @@ def _presentation_text(sig: SmcPresentation) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="petriglue",

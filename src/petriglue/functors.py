@@ -25,6 +25,7 @@ from .fssmc import (
     Tensor,
     apply_perm,
     block_permutation,
+    compose_terms,
     decomposition,
     diagram_key,
     fold_term,
@@ -235,13 +236,7 @@ def _canonical_firing_term(
     if sort != identity_perm(len(current)):
         steps.append(Perm(current, sort))
         current = apply_perm(current, sort)
-    if not steps:
-        term: MorphismTerm = Id(word)
-    else:
-        term = steps[0]
-        for step in steps[1:]:
-            term = Compose(term, step)
-    return word, current, term
+    return word, current, compose_terms(steps) if steps else Id(word)
 
 
 def _relabelled_generators(functor: StrictFunctor) -> frozenset[str]:

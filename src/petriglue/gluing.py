@@ -69,6 +69,7 @@ from .net_model import (
     SmcPresentation,
     Transition,
     Word,
+    _fresh,
     net_coproduct,
     net_of_presentation,
     prune_isolated_places,
@@ -443,8 +444,6 @@ def factor_fold_through_coequalizer(coequalizer: StrictFunctor, fold: Fold) -> F
             factor_fold_through_coequalizer(coequalizer, fold.left),
             factor_fold_through_coequalizer(coequalizer, fold.right),
         )
-    if not isinstance(fold, FreeFold):
-        raise SemanticsMismatchError(f"unsupported fold: {fold!r}")
 
     source = coequalizer.source
     quotient = coequalizer.target
@@ -563,44 +562,28 @@ def identify(
 # Coproducts and gluing between nets
 
 def _copair_folds(
-    left: Fold,
-    right: Fold,
-    left_places: Mapping[str, str],
-    left_transitions: Mapping[str, str],
-    right_places: Mapping[str, str],
-    right_transitions: Mapping[str, str],
-    coproduct: SmcPresentation,
+    left: Fold, right: Fold, iota1: StrictFunctor, iota2: StrictFunctor
 ) -> Fold:
-    if isinstance(left, TerminalFold) and isinstance(right, TerminalFold):
+    """Copair two folds along the coproduct injections ``iota1``, ``iota2``.
+
+    The folds carry equal semantics, so they have the same shape.
+    """
+    coproduct = iota1.target
+    if isinstance(left, TerminalFold):
         return TerminalFold(coproduct)
-    if isinstance(left, PairFold) and isinstance(right, PairFold):
+    if isinstance(left, PairFold):
         return PairFold(
-            _copair_folds(
-                left.left, right.left,
-                left_places, left_transitions, right_places, right_transitions,
-                coproduct,
-            ),
-            _copair_folds(
-                left.right, right.right,
-                left_places, left_transitions, right_places, right_transitions,
-                coproduct,
-            ),
+            _copair_folds(left.left, right.left, iota1, iota2),
+            _copair_folds(left.right, right.right, iota1, iota2),
         )
-    if isinstance(left, FreeFold) and isinstance(right, FreeFold):
-        object_map: dict[str, Word] = {}
-        morphism_map: dict[str, MorphismTerm] = {}
-        for old, new in left_places.items():
-            object_map[new] = left.functor.object_map[old]
-        for old, new in right_places.items():
-            object_map[new] = right.functor.object_map[old]
-        for old, new in left_transitions.items():
-            morphism_map[new] = left.functor.morphism_map[old]
-        for old, new in right_transitions.items():
-            morphism_map[new] = right.functor.morphism_map[old]
-        return FreeFold(
-            StrictFunctor(coproduct, left.functor.target, object_map, morphism_map)
-        )
-    raise SemanticsMismatchError("folds disagree on their backend shape")
+    object_map: dict[str, Word] = {}
+    morphism_map: dict[str, MorphismTerm] = {}
+    for iota, fold in ((iota1, left), (iota2, right)):
+        for old, (new,) in iota.object_map.items():
+            object_map[new] = fold.functor.object_map[old]
+        for old, image in iota.morphism_map.items():
+            morphism_map[image.name] = fold.functor.morphism_map[old]
+    return FreeFold(StrictFunctor(coproduct, left.functor.target, object_map, morphism_map))
 
 
 def monoidal_product(
@@ -609,30 +592,18 @@ def monoidal_product(
     """Place two nets side by side; the fold is the copairing."""
     if m_sem.semantics != n_sem.semantics:
         raise SemanticsMismatchError("nets carry different semantics")
-    coproduct, iota1, iota2 = net_coproduct(m_sem.net, n_sem.net)
-    sig = coproduct.presentation
-    left_places = dict(iota1.places)
-    right_places = dict(iota2.places)
-    left_transitions = dict(iota1.transitions)
-    right_transitions = dict(iota2.transitions)
-    functor1 = StrictFunctor(
-        source=m_sem.presentation,
-        target=sig,
-        object_map={p: (left_places[p],) for p in m_sem.net.places},
-        morphism_map={t.name: Gen(left_transitions[t.name]) for t in m_sem.net.transitions},
+    coproduct, rename1, rename2 = net_coproduct(m_sem.net, n_sem.net)
+    iota1, iota2 = (
+        StrictFunctor(
+            source=summand.presentation,
+            target=coproduct.presentation,
+            object_map={old: (new,) for old, new in rename.places},
+            morphism_map={old: Gen(new) for old, new in rename.transitions},
+        )
+        for summand, rename in ((m_sem, rename1), (n_sem, rename2))
     )
-    functor2 = StrictFunctor(
-        source=n_sem.presentation,
-        target=sig,
-        object_map={p: (right_places[p],) for p in n_sem.net.places},
-        morphism_map={t.name: Gen(right_transitions[t.name]) for t in n_sem.net.transitions},
-    )
-    fold = _copair_folds(
-        m_sem.fold, n_sem.fold,
-        left_places, left_transitions, right_places, right_transitions,
-        sig,
-    )
-    return NetWithSemantics(coproduct, fold), functor1, functor2
+    fold = _copair_folds(m_sem.fold, n_sem.fold, iota1, iota2)
+    return NetWithSemantics(coproduct, fold), iota1, iota2
 
 
 @dataclass(frozen=True)
@@ -912,9 +883,7 @@ def boundary_compose(
             f"{name}*{counts[name]}" if counts[name] > 1 else name
             for name, _ in producers + consumers
         )
-        existing = {t.name for t in current.net.transitions}
-        while new_name in existing:
-            new_name += "'"
+        new_name = _fresh(new_name, {t.name for t in current.net.transitions})
         current, step = synchronize_transitions(
             current, SyncRecipe(new_name, expression, prune=True), bound
         )

@@ -13,7 +13,6 @@ the conjunction of its components'.
 """
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from typing import Union
 
@@ -71,45 +70,14 @@ def sem_equal(handle: SemanticsHandle, first: SemValue, second: SemValue) -> boo
     raise ValidationError(f"not a semantics handle: {handle!r}")
 
 
-class Fold(abc.ABC):
-    """A semantics assignment: generator images in some backend."""
-
-    source: SmcPresentation
-
-    @property
-    @abc.abstractmethod
-    def semantics(self) -> SemanticsHandle:
-        ...
-
-    @abc.abstractmethod
-    def object_image(self, name: str) -> SemValue:
-        ...
-
-    @abc.abstractmethod
-    def word_image(self, word: Word) -> SemValue:
-        ...
-
-    @abc.abstractmethod
-    def morphism_image(self, name: str) -> SemValue:
-        ...
-
-    @abc.abstractmethod
-    def term_image(self, term: MorphismTerm) -> SemValue:
-        ...
-
-    @abc.abstractmethod
-    def after(self, functor: StrictFunctor) -> Fold:
-        """Precompose with a functor into this fold's source."""
-
-
 @dataclass(frozen=True)
-class FreeFold(Fold):
+class FreeFold:
     """Fold into a free backend, carried by a strict functor."""
 
     functor: StrictFunctor
 
     @property
-    def source(self) -> SmcPresentation:  # type: ignore[override]
+    def source(self) -> SmcPresentation:
         return self.functor.source
 
     @property
@@ -133,7 +101,7 @@ class FreeFold(Fold):
 
 
 @dataclass(frozen=True)
-class TerminalFold(Fold):
+class TerminalFold:
     """The unique fold into the terminal category."""
 
     source: SmcPresentation
@@ -161,7 +129,7 @@ class TerminalFold(Fold):
 
 
 @dataclass(frozen=True)
-class PairFold(Fold):
+class PairFold:
     """Fold into a product, stored as its two component folds."""
 
     left: Fold
@@ -172,7 +140,7 @@ class PairFold(Fold):
             raise SourceMismatchError("paired folds must share their source")
 
     @property
-    def source(self) -> SmcPresentation:  # type: ignore[override]
+    def source(self) -> SmcPresentation:
         return self.left.source
 
     @property
@@ -193,6 +161,10 @@ class PairFold(Fold):
 
     def after(self, functor: StrictFunctor) -> PairFold:
         return PairFold(self.left.after(functor), self.right.after(functor))
+
+
+#: A semantics assignment: generator images in some backend.
+Fold = FreeFold | TerminalFold | PairFold
 
 
 def pair_folds(left: Fold, right: Fold) -> PairFold:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -28,7 +29,7 @@ from petriglue import (
     serialize_net,
     term_to_text,
 )
-from petriglue.cli_io import main, parse_semantics
+from petriglue.cli_io import MAX_PRODUCT_DEPTH, _build_parser, main, parse_semantics
 from support import FIXTURES, fig1_nws
 
 # fig8a's f: [A,A] -> [C,B], composed with identities 3,000 levels deep.
@@ -47,6 +48,21 @@ def _fig8a_left_variant(tmp_path, mutate):
 
 def _deepen_f(doc):
     doc["fold"]["morphisms"]["f"] = DEEP_IMAGE
+
+
+def _fig1_in_nested_products(tmp_path, depth):
+    """fig1's document with its semantics ``depth`` products deep, written out.
+
+    The text is spliced together, since ``json.dumps`` itself recurses.
+    """
+    doc = json.loads((FIXTURES / "fig1.json").read_text())
+    semantics, fold = json.dumps(doc.pop("semantics")), json.dumps(doc.pop("fold"))
+    for _ in range(depth):
+        semantics = f'{{"backend": "product", "left": {semantics}, "right": {{"backend": "terminal"}}}}'
+        fold = f'{{"left": {fold}, "right": {{}}}}'
+    path = tmp_path / f"products-{depth}.json"
+    path.write_text(json.dumps(doc)[:-1] + f', "semantics": {semantics}, "fold": {fold}}}')
+    return path
 
 
 NET_FIXTURES = ("fig1.json", "fig5a.json", "fig8a-left.json", "fig8a-right.json")
@@ -282,6 +298,9 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["validate", str(bad)]) == 2
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
 
     def test_freecat(self, capsys):
         assert main(["freecat", str(FIXTURES / "fig1.json")]) == 0
@@ -546,6 +565,56 @@ class TestCli:
         )
         assert code == 1
         assert "verdict failure" in capsys.readouterr().err
+
+
+class TestDeeplyNestedDocuments:
+    """Documents nested past what the JSON decoder or the semantics layer
+    can walk end in a typed error (exit 2), never in a traceback."""
+
+    def _assert_rejected(self, *args):
+        done = _python("-c", RUN_MAIN, *args)
+        assert "Traceback" not in done.stderr
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: ")
+
+    def test_extra_key_of_deeply_nested_lists(self, tmp_path):
+        text = (FIXTURES / "fig1.json").read_text().rstrip()
+        path = tmp_path / "lists.json"
+        path.write_text(text[:-1] + ', "extra": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        self._assert_rejected("validate", str(path))
+
+    def test_deeply_nested_recipe(self, tmp_path):
+        recipe = tmp_path / "recipe.json"
+        recipe.write_text("[" * 100_000 + "]" * 100_000)
+        self._assert_rejected("sync", str(FIXTURES / "fig1.json"), "--recipe", str(recipe))
+
+    @pytest.mark.parametrize("depth", [MAX_PRODUCT_DEPTH + 1, 600, 990])
+    @pytest.mark.parametrize("command", ["validate", "coproduct", "sync"])
+    def test_products_past_the_limit(self, tmp_path, depth, command):
+        path = str(_fig1_in_nested_products(tmp_path, depth))
+        args = {
+            "validate": [path],
+            "coproduct": [path, path],
+            "sync": [path, "--recipe", str(FIXTURES / "recipe-gh.json")],
+        }[command]
+        self._assert_rejected(command, *args)
+
+    def test_parse_semantics_limit(self, tmp_path):
+        doc = json.loads(_fig1_in_nested_products(tmp_path, MAX_PRODUCT_DEPTH).read_text())
+        parse_semantics(doc["semantics"])
+        with pytest.raises(ValidationError, match="nest deeper than"):
+            parse_semantics(
+                {"backend": "product", "left": doc["semantics"], "right": {"backend": "terminal"}}
+            )
+
+    def test_products_at_the_limit(self, tmp_path, capsys):
+        path = str(_fig1_in_nested_products(tmp_path, MAX_PRODUCT_DEPTH))
+        out = tmp_path / "coproduct.json"
+        assert main(["validate", path]) == 0
+        assert main(["coproduct", path, path, "--out", str(out)]) == 0
+        for text in (Path(path).read_text(), out.read_text()):
+            canonical = serialize_net(parse_net(text))
+            assert serialize_net(parse_net(canonical)) == canonical
 
 
 class TestMutatedDocuments:

@@ -627,6 +627,34 @@ class TestMonoidalProduct:
             assert is_transition_preserving(iota1)
             assert is_transition_preserving(iota2)
 
+    def test_product_fold_copairs_componentwise(self):
+        left_sem, right_sem = fig8a_nets()
+        # fig8a's right net with k renamed to f, so places and transitions collide.
+        right = net(["C", "D", "E"], [("h", {"C": 2}, {"D": 1}), ("f", {"C": 1}, {"E": 1})])
+        carrier = right_sem.fold.functor
+        right_free = FreeFold(
+            StrictFunctor(
+                free_smc(right), carrier.target, carrier.object_map, {"h": Gen("h"), "f": Gen("k")}
+            )
+        )
+        m = NetWithSemantics(
+            left_sem.net, PairFold(left_sem.fold, TerminalFold(left_sem.presentation))
+        )
+        n = NetWithSemantics(right, PairFold(right_free, TerminalFold(free_smc(right))))
+        product, iota1, iota2 = monoidal_product(m, n)
+        assert product.net.places == ("A", "C", "B", "C'", "D", "E")
+        assert [t.name for t in product.net.transitions] == ["f", "h", "f'"]
+        for side in ("left", "right"):
+            alone, _, _ = monoidal_product(
+                NetWithSemantics(m.net, getattr(m.fold, side)),
+                NetWithSemantics(n.net, getattr(n.fold, side)),
+            )
+            assert getattr(product.fold, side) == alone.fold
+        assert commutes_with_semantics(iota1, m, product)
+        assert commutes_with_semantics(iota2, n, product)
+        text = serialize_net(product)
+        assert serialize_net(parse_net(text)) == text
+
 
 class TestPushout:
     def test_empty_witness_is_plain_coproduct(self):

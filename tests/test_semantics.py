@@ -7,6 +7,7 @@ import pytest
 
 from petriglue import (
     Compose,
+    Fold,
     FreeFold,
     FreeSmc,
     Gen,
@@ -106,6 +107,12 @@ class TestProductFolds:
     def test_pairing_requires_shared_source(self):
         with pytest.raises(SourceMismatchError):
             pair_folds(identity_fold(fig1_net()), TerminalFold(SmcPresentation(("Z",), ())))
+
+    def test_fold_is_one_of_three_shapes(self):
+        free = identity_fold(fig1_net())
+        for fold in (free, TerminalFold(SIG), pair_folds(free, TerminalFold(SIG))):
+            assert isinstance(fold, Fold)
+        assert not isinstance(Terminal(), Fold)
 
     def test_paired_images_are_pairs(self):
         nws = fig1_nws()
