@@ -479,7 +479,7 @@ def export_dot(net: PetriNet, fold: Fold | None = None) -> str:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -498,7 +498,10 @@ def _load_json(path: str) -> Any:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise PetriGlueError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

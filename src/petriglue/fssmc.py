@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     BadPermutationError,
@@ -99,10 +99,9 @@ def apply_perm(word: Word, perm: Sequence[int]) -> Word:
     return tuple(word[p] for p in perm)
 
 
-def sorting_permutation(word: Word, order: Sequence[str]) -> tuple[int, ...]:
-    """Stable permutation p with ``apply_perm(word, p)`` sorted by ``order``."""
-    position = {name: i for i, name in enumerate(order)}
-    return tuple(sorted(range(len(word)), key=lambda i: (position[word[i]], i)))
+def sorting_permutation(word: Word, rank: Mapping[str, int]) -> tuple[int, ...]:
+    """Stable permutation p with ``apply_perm(word, p)`` sorted by ``rank``."""
+    return tuple(sorted(range(len(word)), key=lambda i: rank[word[i]]))
 
 
 def alignment_permutation(source: Word, target: Word) -> tuple[int, ...]:
@@ -195,7 +194,7 @@ def _leaf_type(t: Gen | Id | Perm, sig: SmcPresentation) -> tuple[Word, Word]:
             raise UnknownGeneratorError(f"unknown morphism generator {t.name!r}")
         return gen.dom, gen.cod
     for letter in t.word:
-        if letter not in sig.object_set:
+        if letter not in sig.object_rank:
             raise UnknownGeneratorError(f"unknown object generator {letter!r}")
     if isinstance(t, Id):
         return t.word, t.word

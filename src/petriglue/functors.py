@@ -8,6 +8,7 @@ nodes rather than held implicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse, product
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -56,10 +57,10 @@ class StrictFunctor:
             if obj not in self.object_map:
                 raise ValidationError(f"object generator {obj!r} has no image")
         for obj, word in self.object_map.items():
-            if obj not in self.source.object_set:
+            if obj not in self.source.object_rank:
                 raise ValidationError(f"image given for unknown object generator {obj!r}")
             for letter in word:
-                if letter not in self.target.object_set:
+                if letter not in self.target.object_rank:
                     raise ValidationError(
                         f"image of {obj!r} uses undeclared target object {letter!r}"
                     )
@@ -195,7 +196,7 @@ def _firing_boundary(
             available[letter] = available.get(letter, 0) + 1
 
     def word(counts: dict[str, int]) -> Word:
-        letters = sorted(counts, key=sig.objects.index)
+        letters = sorted(counts, key=sig.object_rank.__getitem__)
         return tuple(letter for letter in letters for _ in range(counts[letter]))
 
     return word(initial), word(available)
@@ -210,7 +211,6 @@ def _canonical_firing_term(
     ends with the canonical sort of the final word, so every enumerated
     term has order-sorted boundaries (those of :func:`_firing_boundary`).
     """
-    order = sig.objects
     word, _ = _firing_boundary(sig, sequence)
     steps: list[MorphismTerm] = []
     current = word
@@ -232,7 +232,7 @@ def _canonical_firing_term(
         steps.append(Gen(name) if not rest_word else Tensor(Gen(name), Id(rest_word)))
         current = gen.cod + rest_word
 
-    sort = sorting_permutation(current, order)
+    sort = sorting_permutation(current, sig.object_rank)
     if sort != identity_perm(len(current)):
         steps.append(Perm(current, sort))
         current = apply_perm(current, sort)
@@ -249,8 +249,8 @@ def _relabelled_generators(functor: StrictFunctor) -> frozenset[str]:
     nothing, provided every other image holds a box: the set is empty
     otherwise.
     """
-    objects = [functor.map_object(obj) for obj in functor.source.objects]
-    if any(len(word) != 1 for word in objects) or len(set(objects)) != len(objects):
+    single = is_generator_preserving_on_objects(functor)
+    if not single or not is_injective_on_object_generators(functor):
         return frozenset()
     users: dict[str, int] = {}
     for image in functor.morphism_map.values():
@@ -275,17 +275,8 @@ def _firing_sequences(
 ) -> Iterator[tuple[str, ...]]:
     """Sequences of 1..``bound`` names that use some name in ``wanted``,
     by length and then by name index."""
-    prefixes: list[tuple[tuple[str, ...], bool]] = [((), False)]
     for length in range(1, bound + 1):
-        longer = []
-        for prefix, used in prefixes:
-            for name in names:
-                hit = used or name in wanted
-                if hit:
-                    yield prefix + (name,)
-                if length < bound:
-                    longer.append((prefix + (name,), hit))
-        prefixes = longer
+        yield from filterfalse(wanted.isdisjoint, product(names, repeat=length))
 
 
 def _first_collapse(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import (
     BoundaryOrientationError,
@@ -284,9 +284,11 @@ def synchronize_transitions(
 # Identifications
 
 class _UnionFind:
-    def __init__(self, items: Sequence[str], order: Mapping[str, int]) -> None:
+    """Classes of ``items``, each named by its first member in ``items``."""
+
+    def __init__(self, items: Sequence[str]) -> None:
         self.parent = {item: item for item in items}
-        self.order = order
+        self.order = {item: i for i, item in enumerate(items)}
 
     def find(self, item: str) -> str:
         root = item
@@ -324,13 +326,11 @@ def coequalize_tp(
             raise PreconditionFailedError("functors must be transition-preserving")
 
     target = first.target
-    obj_order = {name: i for i, name in enumerate(target.objects)}
-    objects = _UnionFind(target.objects, obj_order)
+    objects = _UnionFind(target.objects)
     for obj in first.source.objects:
         objects.union(first.map_object(obj)[0], second.map_object(obj)[0])
 
-    mor_order = {m.name: i for i, m in enumerate(target.morphisms)}
-    morphisms = _UnionFind([m.name for m in target.morphisms], mor_order)
+    morphisms = _UnionFind([m.name for m in target.morphisms])
     for gen in first.source.morphisms:
         # Transition-preserving images hold exactly one generator each.
         (left_gen,) = decomposition(first.morphism_map[gen.name])
@@ -342,32 +342,28 @@ def coequalize_tp(
     def class_word(word: Word) -> Word:
         return tuple(objects.find(letter) for letter in word)
 
+    # Classes are named by their order-minimal member, so the target's
+    # rank orders class names as the quotient does, and each class's
+    # name comes before its other members.
+    rank = target.object_rank.__getitem__
     quotient_morphisms: list[MorphismGenerator] = []
-    class_boundaries: dict[str, tuple[Word, Word]] = {}
+    boundaries: dict[str, tuple[Word, Word]] = {}
+    morphism_map: dict[str, MorphismTerm] = {}
     for gen in target.morphisms:
         rep = morphisms.find(gen.name)
-        dom_classes = class_word(gen.dom)
-        cod_classes = class_word(gen.cod)
-        dom_sorted = apply_perm(dom_classes, sorting_permutation(dom_classes, quotient_objects))
-        cod_sorted = apply_perm(cod_classes, sorting_permutation(cod_classes, quotient_objects))
+        dom, cod = class_word(gen.dom), class_word(gen.cod)
+        sorted_boundaries = (tuple(sorted(dom, key=rank)), tuple(sorted(cod, key=rank)))
         if rep == gen.name:
-            quotient_morphisms.append(MorphismGenerator(rep, dom_sorted, cod_sorted))
-            class_boundaries[rep] = (dom_sorted, cod_sorted)
-        elif class_boundaries[rep] != (dom_sorted, cod_sorted):
+            quotient_morphisms.append(MorphismGenerator(rep, *sorted_boundaries))
+            boundaries[rep] = sorted_boundaries
+        elif boundaries[rep] != sorted_boundaries:
             raise PreconditionFailedError(
                 f"the functors merge {gen.name!r} into {rep!r}, whose boundaries "
                 "differ; the coequalizer of this pair is not a free quotient of "
                 "the target"
             )
+        morphism_map[gen.name] = _conjugate(Gen(rep), *boundaries[rep], dom, cod)
     quotient = SmcPresentation(quotient_objects, tuple(quotient_morphisms))
-
-    morphism_map: dict[str, MorphismTerm] = {}
-    for gen in target.morphisms:
-        rep = morphisms.find(gen.name)
-        rep_dom, rep_cod = class_boundaries[rep]
-        morphism_map[gen.name] = _conjugate(
-            Gen(rep), rep_dom, rep_cod, class_word(gen.dom), class_word(gen.cod)
-        )
     coequalizer = StrictFunctor(
         source=target,
         target=quotient,
@@ -399,10 +395,11 @@ def merge_two_places(
     if keep == drop:
         raise SamePlaceError("cannot merge a place with itself")
     for name in (keep, drop):
-        if name not in sig.objects:
+        if name not in sig.object_rank:
             raise UnknownGeneratorError(f"unknown object generator {name!r}")
 
     objects = tuple(o for o in sig.objects if o != drop)
+    rank = sig.object_rank.__getitem__
 
     def substitute(word: Word) -> Word:
         return tuple(keep if letter == drop else letter for letter in word)
@@ -412,8 +409,8 @@ def merge_two_places(
     for gen in sig.morphisms:
         dom_sub = substitute(gen.dom)
         cod_sub = substitute(gen.cod)
-        dom_sorted = apply_perm(dom_sub, sorting_permutation(dom_sub, objects))
-        cod_sorted = apply_perm(cod_sub, sorting_permutation(cod_sub, objects))
+        dom_sorted = tuple(sorted(dom_sub, key=rank))
+        cod_sorted = tuple(sorted(cod_sub, key=rank))
         generators.append(MorphismGenerator(gen.name, dom_sorted, cod_sorted))
         morphism_map[gen.name] = _conjugate(
             Gen(gen.name), dom_sorted, cod_sorted, dom_sub, cod_sub
@@ -431,9 +428,12 @@ def merge_two_places(
 def factor_fold_through_coequalizer(coequalizer: StrictFunctor, fold: Fold) -> Fold:
     """Induce a fold on the quotient, checking it is single-valued.
 
-    Every quotient generator takes the fold image of its order-minimal
-    member, conjugated by the block symmetries the re-sorted boundaries
-    demand; all other members must agree up to backend equality.
+    The coequalizer must name each class by its order-minimal member, as
+    :func:`coequalize_tp` does: quotient generator ``q`` then stands for
+    the source generator of the same name.  It takes that generator's
+    fold image, conjugated by the block symmetries of the stable sort
+    of its class boundaries; all other members must agree up to backend
+    equality.
     """
     if coequalizer.source != fold.source:
         raise SourceMismatchError("fold is not defined on the coequalizer's source")
@@ -444,59 +444,33 @@ def factor_fold_through_coequalizer(coequalizer: StrictFunctor, fold: Fold) -> F
             factor_fold_through_coequalizer(coequalizer, fold.left),
             factor_fold_through_coequalizer(coequalizer, fold.right),
         )
+    if not is_generator_preserving_on_objects(coequalizer):
+        raise PreconditionFailedError("the coequalizer must send places to places")
 
     source = coequalizer.source
     quotient = coequalizer.target
     carrier = fold.functor
-
-    place_members: dict[str, list[str]] = {obj: [] for obj in quotient.objects}
-    for o in source.objects:
-        image = coequalizer.map_object(o)
-        if len(image) == 1:
-            place_members[image[0]].append(o)
-    first_member: dict[str, MorphismGenerator] = {}
-    for m in source.morphisms:
-        parts = decomposition(coequalizer.morphism_map[m.name])
-        if len(parts) == 1:
-            first_member.setdefault(next(iter(parts)), m)
-
     object_map: dict[str, Word] = {}
-    for obj, members in place_members.items():
-        images = {carrier.map_object(o) for o in members}
-        if len(images) != 1:
+    for o in source.objects:
+        (cls,) = coequalizer.map_object(o)
+        if object_map.setdefault(cls, carrier.map_object(o)) != carrier.map_object(o):
             raise WellDefinednessError(
-                f"merged places {members} carry different semantics objects"
+                f"merged places {cls!r} and {o!r} carry different semantics objects"
             )
-        object_map[obj] = images.pop()
 
     morphism_map: dict[str, MorphismTerm] = {}
     for gen in quotient.morphisms:
-        if gen.name not in first_member:
-            raise WellDefinednessError(f"class {gen.name!r} has no members")
-        rep = first_member[gen.name]
-
-        def conjugating_perm(rep_word: Word, sorted_word: Word, inverse: bool) -> tuple[int, ...]:
-            classes = tuple(coequalizer.map_object(letter)[0] for letter in rep_word)
-            sort = sorting_permutation(classes, quotient.objects)
-            if apply_perm(classes, sort) != sorted_word:
-                raise WellDefinednessError(
-                    f"class {gen.name!r} boundaries disagree with its members"
-                )
-            sizes = [len(carrier.map_object(letter)) for letter in rep_word]
-            if inverse:
-                return block_permutation([sizes[i] for i in sort], invert_perm(sort))
-            return block_permutation(sizes, sort)
-
-        core = carrier.morphism_map[rep.name]
+        rep = source.morphism(gen.name)
+        dom_sort = sorting_permutation(coequalizer.map_word(rep.dom), quotient.object_rank)
+        cod_sort = sorting_permutation(coequalizer.map_word(rep.cod), quotient.object_rank)
+        dom_sizes = [len(carrier.map_object(letter)) for letter in rep.dom]
+        cod_sizes = [len(carrier.map_object(letter)) for letter in rep.cod]
+        pre = block_permutation([dom_sizes[i] for i in dom_sort], invert_perm(dom_sort))
+        post = block_permutation(cod_sizes, cod_sort)
         parts: list[MorphismTerm] = []
-        pre = conjugating_perm(rep.dom, gen.dom, inverse=True)
-        mapped_dom = tuple(
-            letter for cls in gen.dom for letter in object_map[cls]
-        )
         if pre != identity_perm(len(pre)):
-            parts.append(Perm(mapped_dom, pre))
-        parts.append(core)
-        post = conjugating_perm(rep.cod, gen.cod, inverse=False)
+            parts.append(Perm(carrier.map_word(apply_perm(rep.dom, dom_sort)), pre))
+        parts.append(carrier.morphism_map[rep.name])
         if post != identity_perm(len(post)):
             parts.append(Perm(carrier.map_word(rep.cod), post))
         morphism_map[gen.name] = compose_terms(parts)

@@ -123,27 +123,28 @@ class MorphismGenerator:
 class SmcPresentation:
     """Generating data of a free symmetric strict monoidal category.
 
-    ``object_set`` and ``morphism_index`` (name to generator) are built
-    once, at construction, and take no part in equality.
+    ``object_rank`` (object to its position in ``objects``, the order
+    every word is sorted by) and ``morphism_index`` (name to generator)
+    are built once, at construction, and take no part in equality.
     """
 
     objects: tuple[str, ...]
     morphisms: tuple[MorphismGenerator, ...]
-    object_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    object_rank: dict[str, int] = field(init=False, repr=False, compare=False)
     morphism_index: dict[str, MorphismGenerator] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "object_set", frozenset(self.objects))
+        object.__setattr__(self, "object_rank", {o: i for i, o in enumerate(self.objects)})
         object.__setattr__(self, "morphism_index", {m.name: m for m in self.morphisms})
-        if len(self.object_set) != len(self.objects):
+        if len(self.object_rank) != len(self.objects):
             raise ValidationError("object generator names must be distinct")
         if len(self.morphism_index) != len(self.morphisms):
             raise ValidationError("morphism generator names must be distinct")
         for m in self.morphisms:
             for letter in m.dom + m.cod:
-                if letter not in self.object_set:
+                if letter not in self.object_rank:
                     raise UnknownPlaceError(
                         f"generator {m.name!r} uses undeclared object {letter!r}"
                     )

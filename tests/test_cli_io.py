@@ -299,6 +299,23 @@ class TestCli:
         bad.write_text("{not json")
         assert main(["validate", str(bad)]) == 2
 
+    def test_validate_undecodable_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff{}")
+        assert main(["validate", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {bad}: ")
+
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "x.json"
+        fig1 = str(FIXTURES / "fig1.json")
+        assert main(["coproduct", fig1, fig1, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert not out.parent.exists()
+
     def test_parser_is_built_once(self):
         assert _build_parser() is _build_parser()
 

@@ -16,9 +16,11 @@ from petriglue import (
     Gen,
     Id,
     MorphismGenerator,
+    Multiset,
     NetWithSemantics,
     PairFold,
     Perm,
+    PetriGlueError,
     PetriNet,
     PreconditionFailedError,
     SamePlaceError,
@@ -28,6 +30,7 @@ from petriglue import (
     SyncRecipe,
     Tensor,
     TerminalFold,
+    Transition,
     VerdictFailedError,
     WellDefinednessError,
     Witness,
@@ -63,6 +66,7 @@ from petriglue.cli_io import parse_net, parse_witness
 from petriglue.fssmc import apply_perm, identity_perm
 import reference_functors
 from reference_gluing import _sequential_merge, identify_by_merges
+from reference_gluing import factor_fold_through_coequalizer as reference_factor_fold
 from reference_gluing import minimal_firing_vector as reference_firing_vector
 from support import (
     FIXTURES,
@@ -508,21 +512,28 @@ class TestIdentify:
         )
 
 
-def _random_free_fold(rng: random.Random, n: PetriNet) -> FreeFold:
-    """Places go to one of up to three objects, so many share an image;
-    each transition goes to a generator, shared with an earlier transition
-    of the same boundaries half the time, behind a random input symmetry."""
+def _random_free_fold(
+    rng: random.Random, n: PetriNet, word_images: bool = False
+) -> FreeFold:
+    """Places go to one of up to three objects, so many share an image, or
+    with ``word_images`` to one of three words of zero, one and two; each
+    transition goes to a generator, shared with an earlier transition of
+    the same boundaries half the time, behind a random input symmetry."""
     sig = free_smc(n)
     objects = ("X", "Y", "Z")[: rng.randint(1, 3)]
-    object_map = {p: (rng.choice(objects),) for p in n.places}
+    if word_images:
+        words = [tuple(rng.choice(objects) for _ in range(length)) for length in (0, 1, 2)]
+        object_map = {p: rng.choice(words) for p in n.places}
+    else:
+        object_map = {p: (rng.choice(objects),) for p in n.places}
     generators: list[MorphismGenerator] = []
     morphism_map = {}
     for t in sig.morphisms:
-        mapped_dom = tuple(object_map[p][0] for p in t.dom)
+        mapped_dom = tuple(x for p in t.dom for x in object_map[p])
         perm = list(range(len(mapped_dom)))
         rng.shuffle(perm)
         dom = apply_perm(mapped_dom, perm)
-        cod = tuple(object_map[p][0] for p in t.cod)
+        cod = tuple(x for p in t.cod for x in object_map[p])
         same = [g for g in generators if (g.dom, g.cod) == (dom, cod)]
         if same and rng.random() < 0.5:
             name = rng.choice(same).name
@@ -588,6 +599,138 @@ class TestIdentifyAgainstChainedMerges:
             agreed += 1
         assert agreed >= 100
         assert rejected_by_reference > 0
+
+
+def _net_with_copy(rng: random.Random) -> PetriNet:
+    """A random net, often with a copy of one transition on partly renamed
+    places, so that witnesses can pair two transitions."""
+    n = random_net(rng, max_places=6, max_transitions=3)
+    if not n.transitions or rng.random() < 0.2:
+        return n
+    original = rng.choice(n.transitions)
+
+    def renamed(side: Multiset) -> Multiset:
+        counts: dict[str, int] = {}
+        for place, count in side.entries:
+            place = rng.choice(n.places) if rng.random() < 0.2 else place
+            counts[place] = counts.get(place, 0) + count
+        return Multiset.from_counts(counts)
+
+    copy = Transition("d", renamed(original.pre), renamed(original.post))
+    return PetriNet(n.places, n.transitions + (copy,))
+
+
+def _random_fold(rng: random.Random, n: PetriNet):
+    """Free folds with word images, free x free and free x terminal pairs,
+    or the terminal fold."""
+    kind = rng.choice(["free", "free", "pair", "pair", "terminal"])
+    if kind == "terminal":
+        return TerminalFold(free_smc(n))
+    fold = _random_free_fold(rng, n, word_images=True)
+    if kind == "pair":
+        second = rng.choice(
+            [_random_free_fold(rng, n, word_images=True), TerminalFold(free_smc(n))]
+        )
+        fold = PairFold(fold, second)
+    return fold
+
+
+def _random_witness_pair(
+    rng: random.Random, sig: SmcPresentation, fold
+) -> tuple[StrictFunctor, StrictFunctor]:
+    """Witness places pair places of equal fold image (any two places now
+    and then); witness transitions are built as in ``random_tp_pair``: a
+    transition on the left, one whose boundaries match it letter by letter
+    on the right, another one where there is one."""
+    pairs = []
+    for _ in range(rng.randint(1, 5)):
+        a = rng.choice(sig.objects)
+        mates = [b for b in sig.objects if fold.object_image(b) == fold.object_image(a)]
+        pairs.append((a, rng.choice(mates if rng.random() < 0.85 else sig.objects)))
+    src_objects = tuple(f"c{i}" for i in range(len(pairs)))
+    f_obj = {c: (a,) for c, (a, _) in zip(src_objects, pairs)}
+    g_obj = {c: (b,) for c, (_, b) in zip(src_objects, pairs)}
+    src_gens: list[MorphismGenerator] = []
+    f_mor: dict = {}
+    g_mor: dict = {}
+    for _ in range(rng.randint(0, 4)):
+        if not sig.morphisms:
+            break
+        u = rng.choice(sig.morphisms)
+        over = {
+            letter: [c for c in src_objects if f_obj[c][0] == letter]
+            for letter in u.dom + u.cod
+        }
+        if not all(over.values()):
+            continue
+        dom_c = tuple(rng.choice(over[letter]) for letter in u.dom)
+        cod_c = tuple(rng.choice(over[letter]) for letter in u.cod)
+        g_dom = tuple(g_obj[c][0] for c in dom_c)
+        g_cod = tuple(g_obj[c][0] for c in cod_c)
+        candidates = [v for v in sig.morphisms if (v.dom, v.cod) == (g_dom, g_cod)]
+        if not candidates:
+            continue
+        others = [v for v in candidates if v != u]
+        name = f"w{len(src_gens)}"
+        src_gens.append(MorphismGenerator(name, dom_c, cod_c))
+        f_mor[name] = Gen(u.name)
+        g_mor[name] = Gen(rng.choice(others or candidates).name)
+    source = SmcPresentation(src_objects, tuple(src_gens))
+    return (
+        StrictFunctor(source, sig, f_obj, f_mor),
+        StrictFunctor(source, sig, g_obj, g_mor),
+    )
+
+
+def _fold_outcome(factor, coequalizer, fold):
+    try:
+        return repr(factor(coequalizer, fold))
+    except PetriGlueError as exc:
+        return type(exc)
+
+
+def _free_components(fold):
+    if isinstance(fold, PairFold):
+        return _free_components(fold.left) + _free_components(fold.right)
+    return [fold] if isinstance(fold, FreeFold) else []
+
+
+class TestInducedFoldAgainstReference:
+    """The induced fold against the one that found each class again by
+    scanning the coequalizer's images (``reference_gluing``)."""
+
+    def test_random_folds_and_witnesses(self):
+        rng = random.Random(67)
+        cases = failed = merged_transitions = 0
+        block_symmetries = {"empty": 0, "two-letter": 0}
+        while cases < 2000:
+            n = _net_with_copy(rng)
+            fold = _random_fold(rng, n)
+            first, second = _random_witness_pair(rng, free_smc(n), fold)
+            try:
+                _, coequalizer = coequalize_tp(first, second)
+            except PreconditionFailedError:
+                continue
+            expected = _fold_outcome(reference_factor_fold, coequalizer, fold)
+            assert _fold_outcome(factor_fold_through_coequalizer, coequalizer, fold) == expected
+            cases += 1
+            if not isinstance(expected, str):
+                failed += 1
+                continue
+            if len(coequalizer.target.morphisms) < len(coequalizer.source.morphisms):
+                merged_transitions += 1
+            induced = reference_factor_fold(coequalizer, fold)
+            for original, component in zip(_free_components(fold), _free_components(induced)):
+                images = component.functor.morphism_map
+                # Some quotient generator gained a pre or post symmetry.
+                if all(image == original.functor.morphism_map[q] for q, image in images.items()):
+                    continue
+                lengths = {len(word) for word in component.functor.object_map.values()}
+                block_symmetries["empty"] += 0 in lengths
+                block_symmetries["two-letter"] += 2 in lengths
+        assert failed >= 100 and cases - failed >= 1000
+        assert merged_transitions >= 50
+        assert min(block_symmetries.values()) >= 50, block_symmetries
 
 
 class TestMonoidalProduct:
@@ -1075,6 +1218,12 @@ class TestIdentifyEdgeCases:
         )
         result, _ = identify(fig5, witness)
         assert result.net == fig5.net
+
+    def test_fold_through_word_valued_functor_rejected(self):
+        sig = SmcPresentation(("A", "B"), ())
+        doubling = StrictFunctor(sig, sig, {"A": ("A", "B"), "B": ("B",)}, {})
+        with pytest.raises(PreconditionFailedError, match="send places to places"):
+            factor_fold_through_coequalizer(doubling, FreeFold(identity_functor(sig)))
 
 
 class TestMultiBoundaryComposition:
