@@ -110,15 +110,15 @@ def alignment_permutation(source: Word, target: Word) -> tuple[int, ...]:
     Requires the two words to agree as multisets; equal letters are
     matched left to right.
     """
-    pools: dict[str, list[int]] = {}
+    pools: dict[str, deque[int]] = {}
     for i, letter in enumerate(source):
-        pools.setdefault(letter, []).append(i)
+        pools.setdefault(letter, deque()).append(i)
     out: list[int] = []
     for letter in target:
         pool = pools.get(letter)
         if not pool:
             raise TypeMismatchError(f"words {source} and {target} differ as multisets")
-        out.append(pool.pop(0))
+        out.append(pool.popleft())
     if any(pools.values()):
         raise TypeMismatchError(f"words {source} and {target} differ as multisets")
     return tuple(out)

@@ -23,6 +23,7 @@ from .fssmc import (
     Id,
     MorphismTerm,
     Perm,
+    StringDiagram,
     Tensor,
     apply_perm,
     block_permutation,
@@ -202,30 +203,34 @@ def _firing_boundary(
     return word(initial), word(available)
 
 
+def _leftmost_route(current: Sequence[str], dom: Word) -> tuple[list[int], list[int]]:
+    """Positions of ``current`` that a firing with domain ``dom`` consumes,
+    the leftmost free occurrence of each letter in turn, and those it leaves."""
+    free: list[str | None] = list(current)
+    chosen: list[int] = []
+    for letter in dom:
+        chosen.append(free.index(letter))
+        free[chosen[-1]] = None
+    return chosen, [i for i, letter in enumerate(free) if letter is not None]
+
+
 def _canonical_firing_term(
     sig: SmcPresentation, sequence: Sequence[str]
 ) -> tuple[Word, Word, MorphismTerm]:
     """Build the canonical term firing ``sequence`` from its minimal marking.
 
     Tokens are routed with leftmost-occurrence symmetries, and the term
-    ends with the canonical sort of the final word, so every enumerated
-    term has order-sorted boundaries (those of :func:`_firing_boundary`).
+    ends with the canonical sort of the final word, so its boundaries are
+    the order-sorted ones of :func:`_firing_boundary`.  Only certificates
+    are built as terms; the search splices the same diagrams directly.
     """
     word, _ = _firing_boundary(sig, sequence)
     steps: list[MorphismTerm] = []
     current = word
     for name in sequence:
         gen = sig.morphism(name)
-        chosen: list[int] = []
-        taken: set[int] = set()
-        for letter in gen.dom:
-            for i, have in enumerate(current):
-                if i not in taken and have == letter:
-                    chosen.append(i)
-                    taken.add(i)
-                    break
-        rest = [i for i in range(len(current)) if i not in taken]
-        route = tuple(chosen) + tuple(rest)
+        chosen, rest = _leftmost_route(current, gen.dom)
+        route = tuple(chosen + rest)
         if route != identity_perm(len(current)):
             steps.append(Perm(current, route))
         rest_word = tuple(current[i] for i in rest)
@@ -279,44 +284,98 @@ def _firing_sequences(
         yield from filterfalse(wanted.isdisjoint, product(names, repeat=length))
 
 
+def _spliced_diagram(
+    sig: SmcPresentation,
+    dom: Word,
+    sequence: Sequence[str],
+    object_map: Mapping[str, Word],
+    pieces: Mapping[str, StringDiagram],
+) -> StringDiagram:
+    """The diagram of the canonical firing term of ``sequence`` from ``dom``
+    under the functor with ``object_map`` and generator diagrams ``pieces``.
+
+    No term is built or folded: tokens hold the wire ends of their
+    object's block, each piece is fed the tokens :func:`_leftmost_route`
+    picks, and its outputs become the first tokens.
+    """
+    letters = list(dom)
+    inputs = [x for letter in dom for x in object_map[letter]]
+    ports = iter([("in", i) for i in range(len(inputs))])
+    tokens = [[next(ports) for _ in object_map[letter]] for letter in dom]
+    boxes: list[str] = []
+    box_doms: list[Word] = []
+    box_cods: list[Word] = []
+    wires: list[tuple] = []
+    for name in sequence:
+        gen, piece, offset = sig.morphism_index[name], pieces[name], len(boxes)
+        chosen, rest = _leftmost_route(letters, gen.dom)
+        feed = [end for i in chosen for end in tokens[i]]
+        outs: list = [None] * len(piece.outputs)
+        for src, tgt in piece.wires:
+            src = feed[src[1]] if src[0] == "in" else ("bo", src[1] + offset, src[2])
+            if tgt[0] == "out":
+                outs[tgt[1]] = src
+            else:
+                wires.append((src, ("bi", tgt[1] + offset, tgt[2])))
+        ends = iter(outs)
+        tokens = [[next(ends) for _ in object_map[x]] for x in gen.cod] + [tokens[i] for i in rest]
+        letters = list(gen.cod) + [letters[i] for i in rest]
+        boxes += piece.boxes
+        box_doms += piece.box_doms
+        box_cods += piece.box_cods
+    order = sorting_permutation(letters, sig.object_rank)
+    outs = [end for i in order for end in tokens[i]]
+    wires += zip(outs, [("out", j) for j in range(len(outs))])
+    outputs = tuple(x for i in order for x in object_map[letters[i]])
+    return StringDiagram(
+        tuple(boxes), tuple(box_doms), tuple(box_cods), tuple(inputs), outputs, frozenset(wires)
+    )
+
+
 def _first_collapse(
-    functor: StrictFunctor, terms: list[MorphismTerm]
+    functor: StrictFunctor, dom: Word, sequences: list[tuple[str, ...]], pieces: tuple[dict, dict]
 ) -> tuple[MorphismTerm, MorphismTerm] | None:
-    """The first two terms of the first image group with two members,
-    after terms with equal diagrams collapse to the first."""
-    members: dict[tuple, MorphismTerm] = {}
-    for term in terms:
-        members.setdefault(diagram_key(to_diagram(term, functor.source)), term)
-    by_image: dict[tuple, list[MorphismTerm]] = {}
-    for term in members.values():
-        image = to_diagram(apply_functor(functor, term), functor.target)
-        by_image.setdefault(diagram_key(image), []).append(term)
+    """The terms of the first two sequences of the first image group with
+    two members, after sequences with equal diagrams collapse to the first.
+    ``pieces`` holds each generator's own diagram and that of its image;
+    the empty sequence stands for the identity on ``dom``."""
+    sig = functor.source
+    own = {obj: (obj,) for obj in sig.objects}
+    members: dict[tuple, tuple[str, ...]] = {}
+    for seq in sequences:
+        members.setdefault(diagram_key(_spliced_diagram(sig, dom, seq, own, pieces[0])), seq)
+    by_image: dict[tuple, list[tuple[str, ...]]] = {}
+    for seq in members.values():
+        image = _spliced_diagram(sig, dom, seq, functor.object_map, pieces[1])
+        by_image.setdefault(diagram_key(image), []).append(seq)
     for group in by_image.values():
         if len(group) > 1:
-            return group[0], group[1]
+            left, right = (_canonical_firing_term(sig, s)[2] if s else Id(dom) for s in group[:2])
+            return left, right
     return None
 
 
 def check_faithful_bounded(
     functor: StrictFunctor, bound: int, node_limit: int = 50_000
 ) -> FaithfulnessVerdict:
-    """Semi-decide faithfulness by enumerating canonical firing terms.
+    """Semi-decide faithfulness by enumerating canonical firing diagrams.
 
-    Firing sequences of up to ``bound`` generator occurrences are
-    realized as terms with canonical symmetries, in order of length and
-    then of generator index, and grouped into parallel classes.  In each
-    class of two or more, terms collapse by diagram key and their images
-    are grouped by key: the first image group with two members, in the
-    first class that has one, is the certificate of unfaithfulness.
-    Otherwise the functor is faithful on everything the enumeration
-    reaches.
+    Firing sequences of up to ``bound`` generator occurrences, in order
+    of length and then of generator index, are grouped into parallel
+    classes by boundary.  In each class of two or more, sequences
+    collapse by the key of their spliced diagram (:func:`_spliced_diagram`)
+    and the rest are grouped by the key of their spliced image.  The
+    first image group with two members, in the first class that has
+    one, is the certificate of unfaithfulness, as the canonical terms of
+    its first two sequences.  Otherwise the functor is faithful on
+    everything the enumeration reaches.
 
     Sequences of relabelled generators alone (:func:`_relabelled_generators`)
     collapse with nothing and are not built.  When none are relabelled, each
     class with equal boundaries also holds the identity.  Otherwise no
     identity can collapse, and when several classes collapse the winner
     is the one whose boundaries a sequence reaches first.  ``node_limit``
-    caps the sequences realized plus those scanned for boundaries.
+    caps the sequences built plus those scanned for boundaries.
     """
     if bound < 1:
         raise PreconditionFailedError("faithfulness bound must be >= 1")
@@ -334,17 +393,23 @@ def check_faithful_bounded(
             )
         work += 1
 
-    classes: dict[tuple[Word, Word], list[MorphismTerm]] = {}
+    classes: dict[tuple[Word, Word], list[tuple[str, ...]]] = {}
     for seq in _firing_sequences(names, bound, frozenset(names) - relabelled):
         spend()
-        dom, cod, term = _canonical_firing_term(sig, seq)
-        classes.setdefault((dom, cod), []).append(term)
+        classes.setdefault(_firing_boundary(sig, seq), []).append(seq)
 
+    pieces = None
     collapses: dict[tuple[Word, Word], tuple[MorphismTerm, MorphismTerm]] = {}
-    for (dom, cod), terms in classes.items():
+    for (dom, cod), seqs in classes.items():
         if dom == cod and not relabelled:
-            terms.append(Id(dom))
-        pair = _first_collapse(functor, terms) if len(terms) > 1 else None
+            seqs.append(())
+        if len(seqs) < 2:
+            continue
+        pieces = pieces or (
+            {n: to_diagram(Gen(n), sig) for n in names},
+            {n: to_diagram(functor.morphism_map[n], functor.target) for n in names},
+        )
+        pair = _first_collapse(functor, dom, seqs, pieces)
         if pair is None:
             continue
         if not relabelled:

@@ -28,6 +28,7 @@ from .errors import (
     SourceMismatchError,
     UnknownGeneratorError,
     UnknownPlaceError,
+    ValidationError,
     VerdictFailedError,
     WellDefinednessError,
 )
@@ -780,6 +781,10 @@ def boundary_compose(
     """
     if left_sem.semantics != right_sem.semantics:
         raise SemanticsMismatchError("nets carry different semantics")
+    for side, places in zip(("left", "right"), zip(*pairing)):
+        repeated = [p for i, p in enumerate(places) if p in places[:i]]
+        if repeated:
+            raise ValidationError(f"{side} place {repeated[0]!r} is paired twice")
     for left_place, right_place in pairing:
         if left_place not in left_sem.net.places:
             raise UnknownPlaceError(f"unknown left place {left_place!r}")

@@ -1,11 +1,17 @@
-"""Bounded faithfulness by comparing every pair, kept as an oracle.
+"""Bounded faithfulness by earlier designs, kept as oracles.
 
 Before parallel classes were grouped by diagram key, the check built a
 diagram and an image for every enumerated term and compared each pair
 of a class: a pair with distinct diagrams and equal images is the
 certificate.  Before relabelled generators were skipped, every sequence
-was built.  The tests compare ``check_faithful_bounded`` against this
-function on random small functors; verdicts and certificates must agree.
+was built.  That is :func:`check_faithful_bounded` here.
+
+Before diagrams were spliced from firing sequences, the grouped search
+realized every sequence of a class as its canonical term, folded it,
+mapped it with ``apply_functor`` and folded the image again.  That is
+:func:`check_faithful_by_terms`.  The tests compare the library's
+``check_faithful_bounded`` against both on random small functors;
+verdicts and certificates must agree.
 """
 from __future__ import annotations
 
@@ -19,10 +25,17 @@ from petriglue import (
     StrictFunctor,
     apply_functor,
     diagram_equal,
+    diagram_key,
     to_diagram,
 )
 from petriglue.fssmc import StringDiagram
-from petriglue.functors import FaithfulnessVerdict, _canonical_firing_term
+from petriglue.functors import (
+    FaithfulnessVerdict,
+    _canonical_firing_term,
+    _firing_boundary,
+    _firing_sequences,
+    _relabelled_generators,
+)
 from petriglue.net_model import Word
 
 
@@ -94,3 +107,76 @@ def check_faithful_bounded(
         if pair is not None:
             return CounterexampleFound(bound, *pair)
     return FaithfulUpTo(bound)
+
+
+def first_collapse_by_terms(
+    functor: StrictFunctor, terms: list[MorphismTerm]
+) -> tuple[MorphismTerm, MorphismTerm] | None:
+    """The first two terms of the first image group with two members,
+    after terms with equal diagrams collapse to the first."""
+    members: dict[tuple, MorphismTerm] = {}
+    for term in terms:
+        members.setdefault(diagram_key(to_diagram(term, functor.source)), term)
+    by_image: dict[tuple, list[MorphismTerm]] = {}
+    for term in members.values():
+        image = to_diagram(apply_functor(functor, term), functor.target)
+        by_image.setdefault(diagram_key(image), []).append(term)
+    for group in by_image.values():
+        if len(group) > 1:
+            return group[0], group[1]
+    return None
+
+
+def check_faithful_by_terms(
+    functor: StrictFunctor, bound: int, node_limit: int = 50_000
+) -> FaithfulnessVerdict:
+    """The grouped search with every enumerated sequence built as a term.
+
+    Same enumeration, relabelled-generator skip, identity members,
+    class ranking and ``node_limit`` accounting as the library; each
+    sequence goes sequence -> canonical term -> diagram, and each
+    distinct source term -> ``apply_functor`` -> diagram.
+    """
+    if bound < 1:
+        raise PreconditionFailedError("faithfulness bound must be >= 1")
+    sig = functor.source
+    names = [gen.name for gen in sig.morphisms]
+    relabelled = _relabelled_generators(functor)
+    work = 0
+
+    def spend() -> None:
+        nonlocal work
+        if work == node_limit:
+            raise BudgetExceededError(
+                f"node limit {node_limit} reached: {work} firing sequences "
+                "built or scanned"
+            )
+        work += 1
+
+    classes: dict[tuple[Word, Word], list[MorphismTerm]] = {}
+    for seq in _firing_sequences(names, bound, frozenset(names) - relabelled):
+        spend()
+        dom, cod, term = _canonical_firing_term(sig, seq)
+        classes.setdefault((dom, cod), []).append(term)
+
+    collapses: dict[tuple[Word, Word], tuple[MorphismTerm, MorphismTerm]] = {}
+    for (dom, cod), terms in classes.items():
+        if dom == cod and not relabelled:
+            terms.append(Id(dom))
+        pair = first_collapse_by_terms(functor, terms) if len(terms) > 1 else None
+        if pair is None:
+            continue
+        if not relabelled:
+            return CounterexampleFound(bound, *pair)
+        collapses[(dom, cod)] = pair
+    if not collapses:
+        return FaithfulUpTo(bound)
+    first = next(iter(collapses))
+    if len(collapses) > 1:
+        # A skipped sequence may reach a class before its first built one.
+        for seq in _firing_sequences(names, bound, frozenset(names)):
+            spend()
+            first = _firing_boundary(sig, seq)
+            if first in collapses:
+                break
+    return CounterexampleFound(bound, *collapses[first])

@@ -429,6 +429,16 @@ class TestCli:
         assert result.stdout == ""
         assert result.stderr.startswith("error: firing-vector tables need 250074970 cells")
 
+    def test_compose_repeated_pair_names_the_place(self):
+        result = _python(
+            "-m", "petriglue", "compose",
+            str(FIXTURES / "fig8a-left.json"), str(FIXTURES / "fig8a-right.json"),
+            "--pair", "C=C", "--pair", "C=C",
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: left place 'C' is paired twice\n"
+
     def test_compose_boundary_result(self, tmp_path):
         out = tmp_path / "out.json"
         code = main(

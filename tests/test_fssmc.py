@@ -27,7 +27,7 @@ from petriglue import (
     to_diagram,
     typecheck,
 )
-from petriglue.fssmc import apply_perm, invert_perm
+from petriglue.fssmc import alignment_permutation, apply_perm, invert_perm
 from support import fig1_net, random_rewrite, random_term, random_term_with_dom
 
 SIG = free_smc(fig1_net())
@@ -79,6 +79,22 @@ class TestSymmetry:
                 symmetry(word, perm), symmetry(apply_perm(word, perm), invert_perm(perm))
             )
             assert terms_equal(round_trip, Id(word), SIG)
+
+
+class TestAlignment:
+    def test_equal_letters_match_left_to_right(self):
+        assert alignment_permutation(("A", "B", "A", "B"), ("B", "A", "A", "B")) == (1, 0, 2, 3)
+
+    def test_forty_thousand_equal_letters(self):
+        word = ("A",) * 40_000
+        assert alignment_permutation(word + ("B",), ("B",) + word) == (
+            (40_000,) + tuple(range(40_000))
+        )
+
+    @pytest.mark.parametrize("target", [("A",), ("A", "A", "A"), ("A", "C")])
+    def test_multiset_mismatch(self, target):
+        with pytest.raises(TypeMismatchError, match="differ as multisets"):
+            alignment_permutation(("A", "A"), target)
 
 
 class TestToDiagram:

@@ -22,17 +22,24 @@ from petriglue import (
     check_faithful_bounded,
     compose_functors,
     decomposition,
+    diagram_key,
     free_smc,
     identity_functor,
     is_generator_preserving_on_objects,
     is_injective_on_object_generators,
     is_transition_preserving,
     terms_equal,
+    to_diagram,
     typecheck,
     uncovered_target_generators,
 )
 from petriglue.errors import BudgetExceededError
 from petriglue.fssmc import identity_perm
+from petriglue.functors import (
+    _canonical_firing_term,
+    _relabelled_generators,
+    _spliced_diagram,
+)
 from support import (
     fig1_net,
     random_embedding,
@@ -549,3 +556,110 @@ class TestBlockPermutationOracle:
             flat_tags = [tag for block in blocks for tag in block]
             expected_perm = tuple(flat_tags.index(tag) for tag in expected_tags)
             assert image.perm == expected_perm
+
+
+class TestFaithfulnessAgainstTermOracle:
+    """Spliced diagrams against the term-based search they replaced
+    (``reference_functors.check_faithful_by_terms``): verdicts and
+    certificates are identical."""
+
+    def test_random_small_functors(self):
+        """Mostly S empty: non-injective or word-valued object maps, and
+        identities in every class with equal boundaries."""
+        rng = random.Random(81)
+        cases = counterexamples = with_identity = 0
+        for _ in range(300):
+            functor = random_small_functor(rng)
+            for bound in (1, 2, 3):
+                verdict = check_faithful_bounded(functor, bound)
+                assert repr(verdict) == repr(reference.check_faithful_by_terms(functor, bound))
+                cases += 1
+                if isinstance(verdict, CounterexampleFound):
+                    counterexamples += 1
+                    with_identity += isinstance(verdict.right, Id)
+        assert cases == 900
+        assert 100 < counterexamples < 800 and with_identity > 20, (counterexamples, with_identity)
+
+    def test_random_relabelling_functors(self):
+        """S non-empty, the fallback to S empty, and several collapsing
+        classes ranked by sequences the search skips."""
+        rng = random.Random(82)
+        skipping = counterexamples = reordered = 0
+        for _ in range(300):
+            functor = random_relabelling_functor(rng)
+            relabelled = _relabelled_generators(functor)
+            skipping += bool(relabelled)
+            for bound in (1, 2, 3):
+                verdict = check_faithful_bounded(functor, bound)
+                assert repr(verdict) == repr(reference.check_faithful_by_terms(functor, bound))
+                if isinstance(verdict, CounterexampleFound):
+                    counterexamples += 1
+                    if relabelled:
+                        reordered += class_order_from_skipped_sequence(
+                            functor, bound, set(relabelled)
+                        )
+        assert skipping > 150 and counterexamples > 100 and reordered >= 5, (
+            skipping, counterexamples, reordered,
+        )
+
+    def test_same_budget_error(self):
+        rng = random.Random(83)
+        for _ in range(60):
+            functor = random_small_functor(rng)
+            limit = rng.randint(1, 30)
+            outcomes = []
+            for check in (check_faithful_bounded, reference.check_faithful_by_terms):
+                try:
+                    outcomes.append(repr(check(functor, 3, node_limit=limit)))
+                except BudgetExceededError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+
+
+def splice_sides(functor: StrictFunctor):
+    """(object map, pieces) splicing source diagrams and image diagrams."""
+    sig = functor.source
+    own = {gen.name: to_diagram(Gen(gen.name), sig) for gen in sig.morphisms}
+    images = {
+        gen.name: to_diagram(functor.morphism_map[gen.name], functor.target)
+        for gen in sig.morphisms
+    }
+    return ({obj: (obj,) for obj in sig.objects}, own), (functor.object_map, images)
+
+
+class TestSplicedDiagrams:
+    """The splice gives the diagrams of the canonical firing term and of
+    its image, without folding either."""
+
+    def test_keys_match_folded_terms(self):
+        rng = random.Random(84)
+        functors = [doubling_functor(), composite_collapse_functor()]
+        functors += [random_small_functor(rng) for _ in range(150)]
+        widened = 0
+        for functor in functors:
+            sig = functor.source
+            own, image = splice_sides(functor)
+            widened += any(len(word) > 1 for word in functor.object_map.values())
+            names = [gen.name for gen in sig.morphisms]
+            for _ in range(8):
+                seq = tuple(rng.choice(names) for _ in range(rng.randint(0, 4)))
+                dom, _, term = _canonical_firing_term(sig, seq)
+                spliced = _spliced_diagram(sig, dom, seq, *own)
+                spliced.validate()
+                assert diagram_key(spliced) == diagram_key(to_diagram(term, sig))
+                spliced = _spliced_diagram(sig, dom, seq, *image)
+                spliced.validate()
+                expected = to_diagram(apply_functor(functor, term), functor.target)
+                assert diagram_key(spliced) == diagram_key(expected)
+        assert widened > 40
+
+    def test_identity_on_a_sorted_word(self):
+        functor = doubling_functor()
+        own, image = splice_sides(functor)
+        word = ("A", "A", "A")
+        assert diagram_key(_spliced_diagram(functor.source, word, (), *own)) == diagram_key(
+            to_diagram(Id(word), functor.source)
+        )
+        assert diagram_key(_spliced_diagram(functor.source, word, (), *image)) == diagram_key(
+            to_diagram(Id(functor.map_word(word)), functor.target)
+        )

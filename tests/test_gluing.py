@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -31,6 +32,7 @@ from petriglue import (
     Tensor,
     TerminalFold,
     Transition,
+    ValidationError,
     VerdictFailedError,
     WellDefinednessError,
     Witness,
@@ -983,6 +985,15 @@ class TestFiringVectorAgainstExhaustiveOracle:
 
 
 class TestBoundaryCompose:
+    def test_repeated_place_rejected(self):
+        """A place paired twice is named up front, before any merge."""
+        left_sem, right_sem = fig8a_nets()
+        with pytest.raises(ValidationError, match="left place 'C' is paired twice"):
+            boundary_compose(left_sem, right_sem, [("C", "C"), ("C", "C")])
+        left, right, _ = k_boundary_pair(2)
+        with pytest.raises(ValidationError, match="right place 'X0' is paired twice"):
+            boundary_compose(left, right, [("X0", "X0"), ("X1", "X0")])
+
     def test_fig8a_composition(self):
         left_sem, right_sem = fig8a_nets()
         result = boundary_compose(left_sem, right_sem, [("C", "C")])
@@ -1081,7 +1092,7 @@ def k_boundary_pair(k: int) -> tuple[NetWithSemantics, NetWithSemantics, list[tu
 class TestBoundaryComposeSkipsRelabelledSequences:
     def test_each_step_builds_only_sequences_with_its_new_transition(self, monkeypatch):
         """Every sync step relabels its survivors, so only firing sequences
-        using the new transition become terms; the result is the one the
+        using the new transition are built; the result is the one the
         full enumeration gives."""
         left, right, pairing = k_boundary_pair(4)
         monkeypatch.setattr(
@@ -1092,7 +1103,7 @@ class TestBoundaryComposeSkipsRelabelledSequences:
 
         steps: list[tuple[int, int, list[tuple[str, ...]]]] = []
         check = petriglue.gluing.check_faithful_bounded
-        build = petriglue.functors._canonical_firing_term
+        build = petriglue.functors._firing_boundary
 
         def counting_check(functor, bound, *rest):
             steps.append((len(functor.source.morphisms), bound, []))
@@ -1103,7 +1114,7 @@ class TestBoundaryComposeSkipsRelabelledSequences:
             return build(sig, sequence)
 
         monkeypatch.setattr(petriglue.gluing, "check_faithful_bounded", counting_check)
-        monkeypatch.setattr(petriglue.functors, "_canonical_firing_term", counting_build)
+        monkeypatch.setattr(petriglue.functors, "_firing_boundary", counting_build)
         result = boundary_compose(left, right, pairing)
 
         assert len(steps) == 4
@@ -1112,6 +1123,37 @@ class TestBoundaryComposeSkipsRelabelledSequences:
             assert len(built) == sum(gens**n - (gens - 1) ** n for n in range(1, bound + 1))
         assert result == full
         assert serialize_net(result.net) == serialize_net(full.net)
+
+    def test_each_check_folds_only_generator_pieces(self, monkeypatch):
+        """Diagrams are spliced from sequences: a faithfulness check folds
+        each source generator and its image once, plus certificate terms,
+        and never a term per sequence."""
+        left, right, pairing = k_boundary_pair(4)
+        original = petriglue.fssmc.to_diagram
+        folds = [0]
+        per_check: list[tuple[int, int]] = []
+
+        def counting_to_diagram(*args):
+            folds[0] += 1
+            return original(*args)
+
+        check = petriglue.gluing.check_faithful_bounded
+
+        def counting_check(functor, *rest):
+            before = folds[0]
+            verdict = check(functor, *rest)
+            per_check.append((folds[0] - before, len(functor.source.morphisms)))
+            return verdict
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("petriglue") and getattr(module, "to_diagram", None) is original:
+                monkeypatch.setattr(module, "to_diagram", counting_to_diagram)
+        monkeypatch.setattr(petriglue.gluing, "check_faithful_bounded", counting_check)
+        boundary_compose(left, right, pairing)
+
+        assert len(per_check) == 4
+        for calls, gens in per_check:
+            assert calls <= 2 * gens + 2, (calls, gens)
 
 
 class TestGluingFunctorsAreWellBehaved:
