@@ -549,6 +549,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sync", help="conflate transitions by a recipe")
     p.add_argument("net")
     p.add_argument("--recipe", required=True)
+    p.add_argument("--faithful-bound", type=int, default=3)
     p.add_argument("--out")
 
     p = sub.add_parser("identify", help="merge components selected by a witness")
@@ -615,7 +616,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "sync":
         net_sem = _load_net(args.net)
         recipe = parse_recipe(_load_json(args.recipe))
-        result, _ = synchronize_transitions(net_sem, recipe)
+        result, _ = synchronize_transitions(net_sem, recipe, args.faithful_bound)
         _emit(serialize_net(result), args.out)
         return 0
 

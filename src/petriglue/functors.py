@@ -7,8 +7,9 @@ nodes rather than held implicitly.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import filterfalse, product
+from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -244,44 +245,70 @@ def _canonical_firing_term(
     return word, current, compose_terms(steps) if steps else Id(word)
 
 
-def _relabelled_generators(functor: StrictFunctor) -> frozenset[str]:
-    """Source generators the functor merely relabels, where skipping them is safe.
+def _readback_generators(
+    functor: StrictFunctor, images: Mapping[str, StringDiagram]
+) -> frozenset[str]:
+    """Source generators whose image reads back to them alone.
 
-    A generator is relabelled when its image is ``Gen(h)`` and no other
-    image uses ``h``, under an object map sending objects injectively to
-    single objects.  Terms built from relabelled generators alone keep
-    their diagram up to a one-to-one renaming, so they collapse with
-    nothing, provided every other image holds a box: the set is empty
-    otherwise.
+    Under an object map sending objects injectively to single objects, a
+    generator reads back when its image has a box, shares no box label
+    with another image, and is rigid and connected through hidden wires
+    (:func:`_rigid_through_hidden`).  In the image of a term over such
+    generators, labels name each box's generator, the hidden-wire
+    components are the copies and rigidity fixes their ports, so no other
+    term has that image.  Empty when an image has no box: it leaves no trace.
     """
-    single = is_generator_preserving_on_objects(functor)
-    if not single or not is_injective_on_object_generators(functor):
+    if not all(d.boxes for d in images.values()) or not is_generator_preserving_on_objects(functor):
         return frozenset()
-    users: dict[str, int] = {}
-    for image in functor.morphism_map.values():
-        for name in decomposition(image):
-            users[name] = users.get(name, 0) + 1
-    relabelled = frozenset(
+    if not is_injective_on_object_generators(functor):
+        return frozenset()
+    visible = {word[0] for word in functor.object_map.values()}
+    users = Counter(label for d in images.values() for label in set(d.boxes))
+    return frozenset(
         name
-        for name, image in functor.morphism_map.items()
-        if isinstance(image, Gen) and users[image.name] == 1
+        for name, d in images.items()
+        if all(users[label] == 1 for label in d.boxes) and _rigid_through_hidden(d, visible)
     )
-    if any(
-        not decomposition(image)
-        for name, image in functor.morphism_map.items()
-        if name not in relabelled
-    ):
-        return frozenset()
-    return relabelled
+
+
+def _rigid_through_hidden(d: StringDiagram, visible: set[str]) -> bool:
+    """Whether every wire between boxes of ``d`` carries an object outside
+    ``visible``, those wires connect all boxes, no wire joins the two
+    interfaces, and no automorphism moves a box: walks from distinct boxes
+    differ, coding interface ends by one marker, as a splice loses positions."""
+    feeds, drains = ([[None] * len(word) for word in side] for side in (d.box_doms, d.box_cods))
+    for src, tgt in d.wires:
+        if src[0] == "bo" and tgt[0] == "bi":
+            if d.box_cods[src[1]][src[2]] in visible:
+                return False
+            feeds[tgt[1]][tgt[2]], drains[src[1]][src[2]] = src, tgt
+        elif src[0] == "in" and tgt[0] == "out":
+            return False
+
+    def walk(start: int) -> tuple:
+        order, number, code = [start], {start: 0}, []
+        for b in order:
+            for end in feeds[b] + drains[b]:
+                if end and end[1] not in number:
+                    number[end[1]] = len(order)
+                    order.append(end[1])
+            code.append((d.boxes[b], *[end and (number[end[1]], end[2]) for end in feeds[b]]))
+        return tuple(code)
+
+    return len(walk(0)) == len(d.boxes) == len({walk(b) for b in range(len(d.boxes))})
 
 
 def _firing_sequences(
     names: Sequence[str], bound: int, wanted: frozenset[str]
 ) -> Iterator[tuple[str, ...]]:
     """Sequences of 1..``bound`` names that use some name in ``wanted``,
-    by length and then by name index."""
+    by length and then by name index: a prefix without a wanted name
+    takes only wanted names last."""
+    singles = [(name,) for name in names]
+    hits = [(name,) for name in names if name in wanted]
     for length in range(1, bound + 1):
-        yield from filterfalse(wanted.isdisjoint, product(names, repeat=length))
+        for prefix in product(names, repeat=length - 1):
+            yield from map(prefix.__add__, hits if wanted.isdisjoint(prefix) else singles)
 
 
 def _spliced_diagram(
@@ -358,7 +385,7 @@ def _first_collapse(
 def check_faithful_bounded(
     functor: StrictFunctor, bound: int, node_limit: int = 50_000
 ) -> FaithfulnessVerdict:
-    """Semi-decide faithfulness by enumerating canonical firing diagrams.
+    """Search canonical firing diagrams for a collapse.
 
     Firing sequences of up to ``bound`` generator occurrences, in order
     of length and then of generator index, are grouped into parallel
@@ -368,20 +395,26 @@ def check_faithful_bounded(
     first image group with two members, in the first class that has
     one, is the certificate of unfaithfulness, as the canonical terms of
     its first two sequences.  Otherwise the functor is faithful on
-    everything the enumeration reaches.
+    everything the enumeration reaches.  Tokens are routed canonically,
+    so a collapse that needs a symmetry between boxes is never built.
 
-    Sequences of relabelled generators alone (:func:`_relabelled_generators`)
-    collapse with nothing and are not built.  When none are relabelled, each
-    class with equal boundaries also holds the identity.  Otherwise no
-    identity can collapse, and when several classes collapse the winner
-    is the one whose boundaries a sequence reaches first.  ``node_limit``
-    caps the sequences built plus those scanned for boundaries.
+    Sequences of generators that read back (:func:`_readback_generators`)
+    alone collapse with nothing and are not built; when every generator
+    reads back, nothing is.  When none reads back, each class with equal
+    boundaries also holds the identity.  Otherwise no identity can
+    collapse, and when several classes collapse the winner is the one
+    whose boundaries a sequence reaches first.  ``node_limit`` caps the
+    sequences built plus those scanned for boundaries: none, for a functor
+    that reads back whole.
     """
     if bound < 1:
         raise PreconditionFailedError("faithfulness bound must be >= 1")
     sig = functor.source
     names = [gen.name for gen in sig.morphisms]
-    relabelled = _relabelled_generators(functor)
+    images = {n: to_diagram(functor.morphism_map[n], functor.target) for n in names}
+    readback = _readback_generators(functor, images)
+    if len(readback) == len(names):
+        return FaithfulUpTo(bound)
     work = 0
 
     def spend() -> None:
@@ -394,25 +427,22 @@ def check_faithful_bounded(
         work += 1
 
     classes: dict[tuple[Word, Word], list[tuple[str, ...]]] = {}
-    for seq in _firing_sequences(names, bound, frozenset(names) - relabelled):
+    for seq in _firing_sequences(names, bound, frozenset(names) - readback):
         spend()
         classes.setdefault(_firing_boundary(sig, seq), []).append(seq)
 
-    pieces = None
+    own = None
     collapses: dict[tuple[Word, Word], tuple[MorphismTerm, MorphismTerm]] = {}
     for (dom, cod), seqs in classes.items():
-        if dom == cod and not relabelled:
+        if dom == cod and not readback:
             seqs.append(())
         if len(seqs) < 2:
             continue
-        pieces = pieces or (
-            {n: to_diagram(Gen(n), sig) for n in names},
-            {n: to_diagram(functor.morphism_map[n], functor.target) for n in names},
-        )
-        pair = _first_collapse(functor, dom, seqs, pieces)
+        own = own or {n: to_diagram(Gen(n), sig) for n in names}
+        pair = _first_collapse(functor, dom, seqs, (own, images))
         if pair is None:
             continue
-        if not relabelled:
+        if not readback:
             return CounterexampleFound(bound, *pair)
         collapses[(dom, cod)] = pair
     if not collapses:

@@ -342,6 +342,18 @@ class TestCli:
         assert by_name["gk"]["pre"] == {"A": 2, "B": 1, "C": 3}
         assert by_name["gk"]["post"] == {}
 
+    def test_sync_faithful_bound(self, capsys):
+        """The default bound is 3, and a bound below 1 is a usage error."""
+        argv = ["sync", str(FIXTURES / "fig1.json"), "--recipe", str(FIXTURES / "recipe-ghk.json")]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--faithful-bound", "3"]) == 0
+        assert capsys.readouterr().out == default
+        assert main(argv + ["--faithful-bound", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: faithfulness bound must be >= 1\n"
+
     def test_sync_rejects_non_boolean_prune(self, tmp_path, capsys):
         recipe = json.loads((FIXTURES / "recipe-gk-prune.json").read_text())
         recipe["prune"] = "no"

@@ -34,10 +34,11 @@ from petriglue import (
     uncovered_target_generators,
 )
 from petriglue.errors import BudgetExceededError
-from petriglue.fssmc import identity_perm
+from petriglue.fssmc import Tensor, compose_terms, identity_perm
 from petriglue.functors import (
     _canonical_firing_term,
-    _relabelled_generators,
+    _firing_sequences,
+    _readback_generators,
     _spliced_diagram,
 )
 from support import (
@@ -49,6 +50,7 @@ from support import (
 )
 
 import reference_functors as reference
+from reference_functors import relabelled_generators as _relabelled_generators
 
 SIG = free_smc(fig1_net())
 
@@ -403,6 +405,71 @@ def random_relabelling_functor(rng: random.Random) -> StrictFunctor:
     return StrictFunctor(source, target, object_map, images)
 
 
+def random_readback_functor(rng: random.Random) -> StrictFunctor:
+    """A synchronization-shaped functor from a source of one to three generators.
+
+    Objects go injectively to single objects, and the target adds one or
+    two hidden objects, images of no source object.  A morphism image is
+    a generator, fresh or shared with an earlier image of the same
+    boundary; two generators in a chain or side by side; a generator
+    fanning out to two more; where the boundaries are doubled letters or
+    empty, ``u⊗u`` then ``v⊗v`` with the halves crossed rigidly or
+    symmetrically; or a symmetry where the boundaries allow it.  Inner
+    words are hidden more often than not.
+    """
+    source = random_presentation(rng, 2, 3)
+    while not source.morphisms:
+        source = random_presentation(rng, 2, 3)
+    object_map = {obj: (f"y{i}",) for i, obj in enumerate(source.objects)}
+    visible = tuple(word[0] for word in object_map.values())
+    hidden = tuple(f"h{i}" for i in range(rng.randint(1, 2)))
+    generators: list[MorphismGenerator] = []
+    images = {}
+
+    def box(dom, cod):
+        shared = [u for u in generators if (u.dom, u.cod) == (dom, cod)]
+        if shared and rng.random() < 0.25:
+            return Gen(rng.choice(shared).name)
+        generators.append(MorphismGenerator(f"u{len(generators)}", dom, cod))
+        return Gen(generators[-1].name)
+
+    def inner(size):
+        pool = hidden if rng.random() < 0.75 else visible + hidden
+        return tuple(rng.choice(pool) for _ in range(size))
+
+    def split(word):
+        cut = rng.randint(0, len(word))
+        return word[:cut], word[cut:]
+
+    for gen in source.morphisms:
+        dom = tuple(letter for obj in gen.dom for letter in object_map[obj])
+        cod = tuple(letter for obj in gen.cod for letter in object_map[obj])
+        roll = rng.random()
+        if sorted(dom) == sorted(cod) and roll < 0.05:
+            images[gen.name] = random_symmetry(rng, dom, cod)
+        elif dom == dom[:1] * 2 and cod == cod[:1] * 2 and roll < 0.4:
+            h = rng.choice(hidden)
+            u, v = box(dom[:1], (h, h)), box((h, h), cod[:1])
+            cross = rng.choice(((0, 3, 2, 1), (0, 2, 1, 3)))
+            images[gen.name] = compose_terms(
+                [Tensor(u, u), Perm((h,) * 4, cross), Tensor(v, v)]
+            )
+        elif roll < 0.35:
+            images[gen.name] = box(dom, cod)
+        elif roll < 0.65:
+            middle = inner(rng.randint(1, 2))
+            images[gen.name] = Compose(box(dom, middle), box(middle, cod))
+        elif roll < 0.8:
+            (d1, d2), (c1, c2) = split(dom), split(cod)
+            images[gen.name] = Tensor(box(d1, c1), box(d2, c2))
+        else:
+            m1, m2 = inner(rng.randint(0, 1)), inner(1)
+            c1, c2 = split(cod)
+            images[gen.name] = Compose(box(dom, m1 + m2), Tensor(box(m1, c1), box(m2, c2)))
+    target = SmcPresentation(visible + hidden, tuple(generators))
+    return StrictFunctor(source, target, object_map, images)
+
+
 def relabelling_candidates(functor: StrictFunctor) -> set[str]:
     """Generators sent to ``Gen(h)`` with ``h`` in no other image, under an
     injective object map to single objects."""
@@ -663,3 +730,175 @@ class TestSplicedDiagrams:
         assert diagram_key(_spliced_diagram(functor.source, word, (), *image)) == diagram_key(
             to_diagram(Id(functor.map_word(word)), functor.target)
         )
+
+
+def doubled_functor(cross: tuple[int, ...]) -> StrictFunctor:
+    """``g: A A -> B B`` sent to ``u⊗u``, the symmetry ``cross`` on four
+    hidden wires, then ``v⊗v``, with ``u: A -> H H`` and ``v: H H -> B``."""
+    source = SmcPresentation(("A", "B"), (MorphismGenerator("g", ("A", "A"), ("B", "B")),))
+    target = SmcPresentation(
+        ("A", "B", "H"),
+        (
+            MorphismGenerator("u", ("A",), ("H", "H")),
+            MorphismGenerator("v", ("H", "H"), ("B",)),
+        ),
+    )
+    image = compose_terms(
+        [Tensor(Gen("u"), Gen("u")), Perm(("H",) * 4, cross), Tensor(Gen("v"), Gen("v"))]
+    )
+    return StrictFunctor(source, target, {"A": ("A",), "B": ("B",)}, {"g": image})
+
+
+def readback(functor: StrictFunctor) -> frozenset[str]:
+    return _readback_generators(functor, reference.image_diagrams(functor))
+
+
+class TestReadback:
+    SWAPPED = compose_terms(
+        [Perm(("A", "A"), (1, 0)), Gen("g"), Perm(("B", "B"), (1, 0))]
+    )
+
+    def test_automorphism_off_the_interface_is_not_certified(self):
+        """``v1`` reads ``(u1.0, u2.1)`` and ``v2`` reads ``(u2.0, u1.1)``:
+        swapping both pairs is an automorphism once interface positions are
+        forgotten, so ``g`` and ``swap;g;swap`` differ and have one image.
+        A walk anchored at interface positions would call the image rigid."""
+        functor = doubled_functor((0, 3, 2, 1))
+        assert not terms_equal(Gen("g"), self.SWAPPED, functor.source)
+        assert terms_equal(
+            apply_functor(functor, Gen("g")), apply_functor(functor, self.SWAPPED), functor.target
+        )
+        assert readback(functor) == frozenset()
+        assert reference.small_diagram_collapses(functor, 1, 2)
+
+    def test_rigid_crossing_is_certified(self):
+        """``v1`` reads ``(u1.0, u2.0)``: no automorphism, so ``g`` reads back."""
+        functor = doubled_functor((0, 2, 1, 3))
+        assert not terms_equal(
+            apply_functor(functor, Gen("g")), apply_functor(functor, self.SWAPPED), functor.target
+        )
+        assert readback(functor) == frozenset({"g"})
+        assert check_faithful_bounded(functor, 3, node_limit=0) == FaithfulUpTo(3)
+
+    def test_each_condition_excludes(self):
+        """``e`` goes to ``p`` then ``m`` through the hidden ``H`` and reads
+        back; a visible inner wire, a disconnected image, a wire across the
+        interface and a shared label each exclude."""
+        source = SmcPresentation(
+            ("A", "B"),
+            (
+                MorphismGenerator("s", ("A",), ("B",)),
+                MorphismGenerator("e", ("A", "B"), ("B", "B")),
+            ),
+        )
+        target = SmcPresentation(
+            ("A", "B", "H"),
+            (
+                MorphismGenerator("p", ("A",), ("H",)),
+                MorphismGenerator("q", ("H",), ("B",)),
+                MorphismGenerator("r", ("A",), ("B",)),
+                MorphismGenerator("w", ("B",), ("B",)),
+                MorphismGenerator("m", ("H", "B"), ("B", "B")),
+            ),
+        )
+        chain = Compose(Gen("p"), Gen("q"))
+        joined = Compose(Tensor(Gen("p"), Id(("B",))), Gen("m"))
+
+        def found(s, e):
+            objects = {"A": ("A",), "B": ("B",)}
+            return readback(StrictFunctor(source, target, objects, {"s": s, "e": e}))
+
+        assert found(Gen("r"), joined) == {"s", "e"}
+        assert found(Compose(Gen("r"), Gen("w")), joined) == {"e"}
+        assert found(Gen("r"), Tensor(chain, Gen("w"))) == {"s"}
+        assert found(Gen("r"), Tensor(chain, Id(("B",)))) == {"s"}
+        assert found(chain, joined) == set()
+
+
+def assert_matches_relabelling_search(functors, bounds=(1, 2, 3)):
+    """Verdicts agree with the search that skipped relabelled generators
+    alone; returns how many functors read back more than they relabel,
+    how many are certified whole, and how many verdicts are counterexamples."""
+    wider = certified = counterexamples = 0
+    for functor in functors:
+        found = readback(functor)
+        assert reference.relabelled_generators(functor) <= found
+        wider += found > reference.relabelled_generators(functor)
+        certified += len(found) == len(functor.source.morphisms)
+        for bound in bounds:
+            verdict = check_faithful_bounded(functor, bound)
+            assert repr(verdict) == repr(reference.check_faithful_by_relabelling(functor, bound))
+            counterexamples += isinstance(verdict, CounterexampleFound)
+    return wider, certified, counterexamples
+
+
+class TestReadbackAgainstRelabellingSearch:
+    """Readback against the relabelled-only skip it replaced
+    (``reference_functors.check_faithful_by_relabelling``): verdicts and
+    certificates are identical."""
+
+    def test_random_small_functors(self):
+        rng = random.Random(91)
+        _, _, counterexamples = assert_matches_relabelling_search(
+            random_small_functor(rng) for _ in range(300)
+        )
+        assert counterexamples > 100
+
+    def test_random_relabelling_functors(self):
+        rng = random.Random(92)
+        _, certified, counterexamples = assert_matches_relabelling_search(
+            random_relabelling_functor(rng) for _ in range(300)
+        )
+        assert certified > 50 and counterexamples > 100, (certified, counterexamples)
+
+    def test_random_readback_functors(self):
+        rng = random.Random(93)
+        wider, certified, counterexamples = assert_matches_relabelling_search(
+            random_readback_functor(rng) for _ in range(300)
+        )
+        assert wider > 100 and certified > 80 and counterexamples > 20, (
+            wider, certified, counterexamples,
+        )
+
+
+class TestReadbackAgainstBruteForce:
+    """No diagram with at most two boxes over words of at most four letters
+    whose boxes all read back shares its image with another
+    (``reference_functors.small_diagram_collapses``)."""
+
+    def check(self, family, seed, count):
+        rng = random.Random(seed)
+        checked = certified = collapsing = 0
+        while checked < count:
+            functor = family(rng)
+            found = readback(functor)
+            if not found:
+                continue
+            checked += 1
+            certified += len(found) == len(functor.source.morphisms)
+            collapses = reference.small_diagram_collapses(functor)
+            collapsing += bool(collapses)
+            for left, right in collapses:
+                assert not set(left) <= found and not set(right) <= found, (functor, left, right)
+        return certified, collapsing
+
+    def test_random_readback_functors(self):
+        certified, collapsing = self.check(random_readback_functor, 94, 24)
+        assert certified > 8 and collapsing >= 2, (certified, collapsing)
+
+    def test_random_relabelling_and_small_functors(self):
+        certified, collapsing = self.check(random_relabelling_functor, 95, 12)
+        more, found = self.check(random_small_functor, 96, 12)
+        assert certified + more > 8 and collapsing + found > 2, (certified, more, collapsing, found)
+
+
+class TestFiringSequences:
+    def test_same_order_as_the_filtered_product(self):
+        rng = random.Random(97)
+        for _ in range(200):
+            names = [f"n{i}" for i in range(rng.randint(1, 6))]
+            wanted = frozenset(n for n in names if rng.random() < 0.3)
+            bound = rng.randint(1, 3)
+            assert list(_firing_sequences(names, bound, wanted)) == list(
+                reference.firing_sequences_by_filter(names, bound, wanted)
+            )
