@@ -6,6 +6,11 @@ embedded as strings in a small expression grammar::
 
     term := gen(NAME) | id([NAME,...]) | perm([NAME,...],[INT,...])
           | comp(term,term) | ten(term,term)
+
+A NAME is a run of characters other than whitespace and ``()[],`` (so
+``comp`` is a name); an INT is ASCII digits; a list may be empty.
+Whitespace may stand between any two tokens, never inside one.
+:func:`parse_term` reads one regex step per leaf.
 """
 from __future__ import annotations
 
@@ -61,103 +66,130 @@ from .semantics import (
 # ---------------------------------------------------------------------------
 # Term expressions
 
-_PUNCTUATION = set("()[],")
-_TOKEN = re.compile(r"[()\[\],]|[^\s()\[\],]+")
+_NAME = r"[^\s()\[\],]+"
+_TOKEN = re.compile(rf"[()\[\],]|{_NAME}")
+# A bracketed name list; the names are captured by the group named by format().
+_NAMES = rf"\[\s*(?P<{{}}>(?:{_NAME}\s*(?:,\s*{_NAME}\s*)*)?)\]"
 
 
-class _TermParser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
-        self.pos = 0
+# One step of a term: the comp/ten heads opened before a leaf, the leaf,
+# the run of ")" closing nodes after it, and the "," that may follow.
+_STEP = re.compile(
+    rf"""\s*(?P<heads>(?:(?:comp|ten)\s*\(\s*)*)
+    (?P<leaf>gen\s*\(\s*(?P<gen>{_NAME})\s*\)
+      | id\s*\(\s*{_NAMES.format("id")}\s*\)
+      | perm\s*\(\s*{_NAMES.format("word")}\s*,\s*{_NAMES.format("perm")}\s*\))
+    (?P<close>(?:\s*\))*)\s*(?P<comma>,?)""",
+    re.VERBOSE,
+)
 
-    def error(self, message: str) -> ParseError:
-        at = self.tokens[self.pos][1] if self.pos < len(self.tokens) else len(self.text)
-        return ParseError(f"at position {at}: {message}")
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+def _split(names: str) -> tuple[str, ...]:
+    return tuple(names.replace(",", " ").split())
 
-    def expect(self, value: str) -> None:
-        if self.peek() != value:
-            raise self.error(f"expected {value!r}")
-        self.pos += 1
 
-    def atom(self) -> str:
-        token = self.peek()
-        if token is None or token in _PUNCTUATION:
-            raise self.error("expected a name")
-        self.pos += 1
+def _index(name: str) -> int:
+    """A permutation index: ASCII digits only."""
+    if not (name.isascii() and name.isdigit()):
+        raise ValueError(name)
+    return int(name)
+
+
+def _leaf(m: re.Match, text: str, pos: int) -> MorphismTerm:
+    if m["gen"] is not None:
+        return Gen(m["gen"])
+    if m["id"] is not None:
+        return Id(_split(m["id"]))
+    try:
+        perm = tuple(map(_index, _split(m["perm"])))
+    except ValueError:
+        raise _step_error(text, pos) from None
+    return symmetry(_split(m["word"]), perm)
+
+
+def _step_error(text: str, pos: int) -> ParseError:
+    """Read the step at ``pos`` token by token up to the token it fails at."""
+    tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text, pos)] + [(None, len(text))]
+    i = 0
+
+    def error(message: str) -> ParseError:
+        return ParseError(f"at position {tokens[i][1]}: {message}")
+
+    def take(expected: str | None = None) -> str:
+        nonlocal i
+        token = tokens[i][0]
+        if expected is None and (token is None or token in "()[],"):
+            raise error("expected a name")
+        if expected is not None and token != expected:
+            raise error(f"expected {expected!r}")
+        i += 1
         return token
 
-    def name_list(self) -> tuple[str, ...]:
-        self.expect("[")
-        names: list[str] = []
-        if self.peek() == "]":
-            self.pos += 1
-            return ()
-        names.append(self.atom())
-        while self.peek() == ",":
-            self.pos += 1
-            names.append(self.atom())
-        self.expect("]")
-        return tuple(names)
+    def names() -> list[str]:
+        take("[")
+        out = [] if tokens[i][0] == "]" else [take()]
+        while out and tokens[i][0] == ",":
+            take(",")
+            out.append(take())
+        take("]")
+        return out
 
-    def int_list(self) -> tuple[int, ...]:
-        names = self.name_list()
+    head = take()
+    take("(")
+    while head in ("comp", "ten"):
+        head = take()
+        take("(")
+    if head not in ("gen", "id", "perm"):
+        raise error(f"unknown term constructor {head!r}")
+    take() if head == "gen" else names()
+    if head == "perm":
+        take(",")
         try:
-            return tuple(int(n) for n in names)
-        except ValueError as exc:
-            raise self.error("expected a list of integers") from exc
-
-    def term(self) -> MorphismTerm:
-        """Parse one term; nesting depth is limited by memory only."""
-        # Each open comp/ten node: its head and, once parsed, its first operand.
-        open_nodes: list[list] = []
-        while True:
-            head = self.atom()
-            self.expect("(")
-            if head == "comp" or head == "ten":
-                open_nodes.append([head, None])
-                continue
-            value = self.leaf(head)
-            while open_nodes:
-                node = open_nodes[-1]
-                if node[1] is None:
-                    node[1] = value
-                    self.expect(",")
-                    break
-                self.expect(")")
-                open_nodes.pop()
-                value = Compose(node[1], value) if node[0] == "comp" else Tensor(node[1], value)
-            else:
-                return value
-
-    def leaf(self, head: str) -> MorphismTerm:
-        if head == "gen":
-            name = self.atom()
-            self.expect(")")
-            return Gen(name)
-        if head == "id":
-            word = self.name_list()
-            self.expect(")")
-            return Id(word)
-        if head == "perm":
-            word = self.name_list()
-            self.expect(",")
-            perm = self.int_list()
-            self.expect(")")
-            return symmetry(word, perm)
-        raise self.error(f"unknown term constructor {head!r}")
+            list(map(_index, names()))
+        except ValueError:
+            raise error("expected a list of integers") from None
+    take(")")
+    raise AssertionError(f"the step at {pos} does not match, yet reads as a leaf")
 
 
 def parse_term(text: str) -> MorphismTerm:
-    """Parse a term expression; positions are reported on failure."""
-    parser = _TermParser(text)
-    term = parser.term()
-    if parser.peek() is not None:
-        raise parser.error("trailing input after term")
-    return term
+    """Parse a term expression; positions are reported on failure.
+
+    Each step is one ``_STEP`` match.  Open nodes are kept on an explicit
+    stack, so nesting depth is limited by memory only, and leaves with
+    equal text are one node.
+    """
+    leaves: dict[str, MorphismTerm] = {}
+    # Each open comp/ten node: its constructor, then its first operand once parsed.
+    stack: list = []
+    pos = 0
+    while True:
+        m = _STEP.match(text, pos)
+        if m is None:
+            raise _step_error(text, pos)
+        heads, leaf, close, comma = m.group("heads", "leaf", "close", "comma")
+        stack += [Compose if "comp" in h else Tensor for h in heads.split("(")[:-1]]
+        value = leaves.get(leaf)
+        if value is None:
+            value = leaves[leaf] = _leaf(m, text, pos)
+        for k in range(close.count(")")):
+            if not stack or stack[-1] is Compose or stack[-1] is Tensor:
+                at = m.start("close") + [i for i, c in enumerate(close) if c == ")"][k]
+                expected = "expected ','" if stack else "trailing input after term"
+                raise ParseError(f"at position {at}: {expected}")
+            first = stack.pop()
+            value = stack.pop()(first, value)
+        if comma and stack and (stack[-1] is Compose or stack[-1] is Tensor):
+            stack.append(value)
+            pos = m.end()
+            continue
+        at = m.start("comma")  # the next token, or the end of the text
+        if not stack and at == len(text):
+            return value
+        if not stack:
+            raise ParseError(f"at position {at}: trailing input after term")
+        expected = "','" if stack[-1] is Compose or stack[-1] is Tensor else "')'"
+        raise ParseError(f"at position {at}: expected {expected}")
 
 
 def term_to_text(term: MorphismTerm) -> str:

@@ -266,11 +266,6 @@ def decomposition(t: MorphismTerm) -> frozenset[str]:
     return frozenset(names)
 
 
-def belongs(generator: str, t: MorphismTerm) -> bool:
-    """True iff ``generator`` occurs in the decomposition of ``t``."""
-    return generator in decomposition(t)
-
-
 # ---------------------------------------------------------------------------
 # String diagrams
 
@@ -307,26 +302,23 @@ class StringDiagram:
         seen_tgt = [tgt for _, tgt in self.wires]
         if sorted(seen_src) != sorted(sources) or sorted(seen_tgt) != sorted(targets):
             raise ValidationError("every port must carry exactly one wire")
+        # Kahn's algorithm: a box is ready once every box feeding it is.
+        indegree = [0] * len(self.boxes)
+        successors: list[list[int]] = [[] for _ in self.boxes]
         for src, tgt in self.wires:
             if self._label(src) != self._label(tgt):
                 raise ValidationError(f"wire {src} -> {tgt} joins unequal labels")
-        order: dict[int, int] = {}
-        remaining = set(range(len(self.boxes)))
-        deps = {
-            b: {
-                src[1]
-                for src, tgt in self.wires
-                if tgt[0] == "bi" and tgt[1] == b and src[0] == "bo"
-            }
-            for b in remaining
-        }
-        while remaining:
-            ready = {b for b in remaining if deps[b] <= set(order)}
-            if not ready:
-                raise ValidationError("box dependency relation has a cycle")
-            for b in ready:
-                order[b] = len(order)
-            remaining -= ready
+            if src[0] == "bo" and tgt[0] == "bi":
+                successors[src[1]].append(tgt[1])
+                indegree[tgt[1]] += 1
+        ready = [b for b, n in enumerate(indegree) if n == 0]
+        for b in ready:
+            for c in successors[b]:
+                indegree[c] -= 1
+                if indegree[c] == 0:
+                    ready.append(c)
+        if len(ready) < len(self.boxes):
+            raise ValidationError("box dependency relation has a cycle")
 
     def _label(self, endpoint: Endpoint) -> str:
         kind = endpoint[0]

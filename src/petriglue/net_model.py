@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import UnknownGeneratorError, UnknownPlaceError, ValidationError
 
@@ -156,24 +156,6 @@ class SmcPresentation:
         return gen
 
 
-def linearize(ms: Multiset, order: Sequence[str]) -> Word:
-    """Flatten a multiset into the word sorted by the given place order.
-
-    >>> linearize(Multiset.from_counts({"A": 2, "C": 1}), ["A", "B", "C"])
-    ('A', 'A', 'C')
-    """
-    position = {place: i for i, place in enumerate(order)}
-    for name in ms.names():
-        if name not in position:
-            raise UnknownPlaceError(f"multiset entry {name!r} is not in the place order")
-    return _ordered_word(ms, position)
-
-
-def _ordered_word(ms: Multiset, position: Mapping[str, int]) -> Word:
-    entries = sorted(ms.entries, key=lambda entry: position[entry[0]])
-    return tuple(place for place, count in entries for _ in range(count))
-
-
 def free_smc(net: PetriNet) -> SmcPresentation:
     """Present the category of executions of a net.
 
@@ -181,10 +163,12 @@ def free_smc(net: PetriNet) -> SmcPresentation:
     becomes a morphism generator between the linearized pre and post sets.
     """
     position = {place: i for i, place in enumerate(net.places)}
-    morphisms = tuple(
-        MorphismGenerator(t.name, _ordered_word(t.pre, position), _ordered_word(t.post, position))
-        for t in net.transitions
-    )
+
+    def word(ms: Multiset) -> Word:
+        entries = sorted(ms.entries, key=lambda entry: position[entry[0]])
+        return tuple(place for place, count in entries for _ in range(count))
+
+    morphisms = tuple(MorphismGenerator(t.name, word(t.pre), word(t.post)) for t in net.transitions)
     return SmcPresentation(net.places, morphisms)
 
 
@@ -195,11 +179,6 @@ def net_of_presentation(sig: SmcPresentation) -> PetriNet:
         for m in sig.morphisms
     )
     return PetriNet(sig.objects, transitions)
-
-
-def is_fsm(net: PetriNet) -> bool:
-    """True iff every transition consumes and produces exactly one token."""
-    return all(t.pre.total() == 1 and t.post.total() == 1 for t in net.transitions)
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,57 @@ class TestTermExpressions:
         for text in (DEEP_IMAGE, "ten(id([A])," * 3000 + "gen(g)" + ")" * 3000):
             assert term_to_text(parse_term(text)) == text
 
+    @pytest.mark.parametrize(
+        "text, term",
+        [
+            ("comp ( gen( f ) , gen(g) )", Compose(Gen("f"), Gen("g"))),
+            (
+                "\tten( id( [ A , B ] ) ,perm ( [A, B] , [1 ,0] ) )\n",
+                Tensor(Id(("A", "B")), Perm(("A", "B"), (1, 0))),
+            ),
+            ("id([])", Id(())),
+            ("id( [ ] )", Id(())),
+            ("gen(comp)", Gen("comp")),
+            ("id([ten,gen,perm,id])", Id(("ten", "gen", "perm", "id"))),
+            ("comp(gen(ten),ten(gen(comp),id([comp])))",
+             Compose(Gen("ten"), Tensor(Gen("comp"), Id(("comp",))))),
+            ("perm([A,B],[01,00])", Perm(("A", "B"), (1, 0))),
+            ("gen(f;g)", Gen("f;g")),
+        ],
+    )
+    def test_parse_edge_cases(self, text, term):
+        assert parse_term(text) == term
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("id([a,])", "at position 6: expected a name"),
+            ("gen()", "at position 4: expected a name"),
+            ("", "at position 0: expected a name"),
+            ("   ", "at position 3: expected a name"),
+            ("gen(g) gen(h)", "at position 7: trailing input after term"),
+            ("gen(g))", "at position 6: trailing input after term"),
+            ("gen(g),", "at position 6: trailing input after term"),
+            ("foo(x)", "at position 4: unknown term constructor 'foo'"),
+            ("comp(foo(x),gen(g))", "at position 9: unknown term constructor 'foo'"),
+            ("comp(gen(f)", "at position 11: expected ','"),
+            ("comp(gen(f))", "at position 11: expected ','"),
+            ("comp(gen(f),gen(g),gen(h))", "at position 18: expected ')'"),
+            ("comp gen(f)", "at position 5: expected '('"),
+            ("gen(f g)", "at position 6: expected ')'"),
+            ("perm([A,B],[x,0])", "at position 16: expected a list of integers"),
+            ("perm([A],[0]", "at position 12: expected ')'"),
+        ],
+    )
+    def test_errors_name_message_and_position(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_term(text)
+        assert str(info.value) == message
+
+    def test_comp_nest_100000_deep(self):
+        text = "comp(" * 100_000 + "gen(f)" + ",gen(g))" * 100_000
+        assert term_to_text(parse_term(text)) == text
+
 
 class TestDocuments:
     def test_minimal_document(self):
@@ -278,6 +329,14 @@ class TestCli:
                 lambda doc: doc["transitions"][0]["post"].update(C=True), id="bool-count"
             ),
             pytest.param(lambda doc: doc["fold"]["morphisms"].update(f=5), id="number-term"),
+            pytest.param(
+                lambda doc: doc["fold"]["morphisms"].update(f="comp(perm([A,A],[+1,0]),gen(f))"),
+                id="signed-perm-index",
+            ),
+            pytest.param(
+                lambda doc: doc["fold"]["morphisms"].update(f="comp(perm([A,A],[١,0]),gen(f))"),
+                id="non-ascii-perm-index",
+            ),
             pytest.param(
                 lambda doc: (
                     doc["places"].append(7), doc.update(semantics={"backend": "terminal"})

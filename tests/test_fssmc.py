@@ -13,11 +13,12 @@ from petriglue import (
     MorphismGenerator,
     Perm,
     SmcPresentation,
+    StringDiagram,
     Tensor,
     TypeMismatchError,
     UnknownGeneratorError,
+    ValidationError,
     apply_functor,
-    belongs,
     decomposition,
     diagram_equal,
     free_smc,
@@ -27,7 +28,7 @@ from petriglue import (
     to_diagram,
     typecheck,
 )
-from petriglue.fssmc import alignment_permutation, apply_perm, invert_perm
+from petriglue.fssmc import alignment_permutation, apply_perm, compose_terms, invert_perm
 from support import fig1_net, random_rewrite, random_term, random_term_with_dom
 
 SIG = free_smc(fig1_net())
@@ -124,6 +125,29 @@ class TestToDiagram:
         term = Compose(Tensor(Gen("g"), Gen("h")), Tensor(Gen("k"), Id(("F",))))
         assert len(to_diagram(term, SIG).boxes) == 3
 
+    def test_long_chain_validates(self):
+        loop = SmcPresentation(("A",), (MorphismGenerator("g", ("A",), ("A",)),))
+        d = to_diagram(compose_terms([Gen("g")] * 2000), loop)
+        assert len(d.boxes) == 2000
+        d.validate()
+
+    def test_cyclic_wiring_rejected(self):
+        # Two boxes A -> A, each feeding the other; the interface wire passes by.
+        d = StringDiagram(
+            boxes=("g", "g"),
+            box_doms=(("A",), ("A",)),
+            box_cods=(("A",), ("A",)),
+            inputs=("A",),
+            outputs=("A",),
+            wires=frozenset({
+                (("bo", 0, 0), ("bi", 1, 0)),
+                (("bo", 1, 0), ("bi", 0, 0)),
+                (("in", 0), ("out", 0)),
+            }),
+        )
+        with pytest.raises(ValidationError, match="box dependency relation has a cycle"):
+            d.validate()
+
 
 class TestDiagramEqual:
     def test_reflexive(self):
@@ -176,9 +200,9 @@ class TestDecomposition:
 
     def test_belongs(self):
         gk = Compose(Gen("g"), Gen("k"))
-        assert belongs("g", gk)
-        assert not belongs("f", gk)
-        assert not belongs("f", Id(("A",)))
+        assert "g" in decomposition(gk)
+        assert "f" not in decomposition(gk)
+        assert "f" not in decomposition(Id(("A",)))
 
 
 class TestSmcAxioms:

@@ -16,8 +16,6 @@ from petriglue import (
     UnknownPlaceError,
     ValidationError,
     free_smc,
-    is_fsm,
-    linearize,
     net_coproduct,
     net_of_presentation,
     presentations_isomorphic,
@@ -40,7 +38,15 @@ def nets(draw):
     return PetriNet(places, tuple(transitions))
 
 
+def linearize(ms, places):
+    """The word ``free_smc`` gives a transition consuming ``ms``."""
+    t = Transition("t", ms, Multiset.empty())
+    return free_smc(PetriNet(tuple(places), (t,))).morphism("t").dom
+
+
 class TestLinearize:
+    """Multisets become words sorted by the net's place order."""
+
     def test_empty_multiset(self):
         assert linearize(Multiset.empty(), ["A", "B"]) == ()
 
@@ -60,7 +66,7 @@ class TestLinearize:
     @given(nets())
     def test_length_and_multiplicity(self, n):
         for t in n.transitions:
-            word = linearize(t.pre, n.places)
+            word = n.presentation.morphism(t.name).dom
             assert len(word) == t.pre.total()
             for place in t.pre.names():
                 assert word.count(place) == t.pre.count(place)
@@ -108,17 +114,6 @@ class TestNetOfPresentation:
     def test_presentation_round_trip_sorts(self, n):
         sig = free_smc(n)
         assert free_smc(net_of_presentation(sig)) == sig
-
-
-class TestIsFsm:
-    def test_one_in_one_out(self):
-        assert is_fsm(net(["A", "B"], [("t", {"A": 1}, {"B": 1})]))
-
-    def test_fig1_is_not(self):
-        assert not is_fsm(fig1_net())
-
-    def test_empty_input_is_not(self):
-        assert not is_fsm(net(["A"], [("t", {}, {"A": 1})]))
 
 
 class TestCoproduct:
