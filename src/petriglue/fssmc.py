@@ -4,23 +4,27 @@ Terms are syntax trees built from generators, identities, permutations,
 sequential composition and monoidal product.  :func:`to_diagram`
 typechecks a term and evaluates it to a :class:`StringDiagram`, an
 acyclic port graph anchored at its interface, in one pass with an
-explicit stack.  Two terms denote the same morphism iff their diagrams
-are isomorphic by a box bijection that preserves generator labels,
-every wire, and the interface positions.
+explicit stack.  A diagram stores one source per box input port and per
+interface output: an output port of a box, or an interface input.  Two
+terms denote the same morphism iff their diagrams are isomorphic by a
+box bijection that preserves generator labels, every source, and the
+interface positions.
 
 :func:`diagram_key` turns that isomorphism into equality of a canonical
 key.  A breadth-first walk from the interface inputs and then the
-interface outputs, in position order, follows box ports in port order;
-it numbers every box connected to the interface the same way in any
-isomorphic copy.  Each closed component (boxes no wire path joins to
-the interface) is encoded by the least such walk over its start boxes,
-and the component codes are sorted.
+interface outputs, in position order, reads each box's sources and then
+its targets (:attr:`StringDiagram.drains`) in port order; it numbers
+every box connected to the interface the same way in any isomorphic
+copy.  Each closed component (boxes no wire path joins to the
+interface) is encoded by the least such walk over its start boxes, and
+the component codes are sorted.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -56,16 +60,47 @@ class Perm(MorphismTerm):
     perm: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Compose(MorphismTerm):
+class _Operator(MorphismTerm):
+    """Base of the binary nodes; their two fields are ``__match_args__``.
+    Equality, hash and repr read a term as the flat list of its leaves and
+    the repr text between them, so they work at any depth."""
+
+    __slots__ = ()
+
+    def _tokens(self) -> list:
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, _Operator):
+                a, b = node.__match_args__
+                name = type(node).__qualname__
+                stack += (")", getattr(node, b), f", {b}=", getattr(node, a), f"{name}({a}=")
+            else:
+                out.append(node)
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._tokens() == other._tokens()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._tokens()))
+
+    def __repr__(self) -> str:
+        return "".join(x if isinstance(x, str) else repr(x) for x in self._tokens())
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Compose(_Operator):
     """Diagrammatic composite ``first ; second``."""
 
     first: MorphismTerm
     second: MorphismTerm
 
 
-@dataclass(frozen=True)
-class Tensor(MorphismTerm):
+@dataclass(frozen=True, eq=False, repr=False)
+class Tensor(_Operator):
     left: MorphismTerm
     right: MorphismTerm
 
@@ -269,19 +304,59 @@ def decomposition(t: MorphismTerm) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # String diagrams
 
-# Endpoints of a wire.  Sources are interface inputs ("in", i) or box
-# output ports ("bo", box, port); targets are interface outputs
-# ("out", i) or box input ports ("bi", box, port).
-Endpoint = tuple
+
+def _walk(
+    d: StringDiagram, feeds: Sequence[Sequence[tuple[int, int]]], starts: Iterable[int]
+) -> tuple[list[int], dict[int, int], list[tuple]]:
+    """Number boxes breadth-first from ``starts``, reading each box's
+    sources in ``feeds`` (``d.feeds``, or a copy that codes interface
+    inputs by one marker) and then its targets, in port order.
+
+    Each box is encoded, in walk order, as its label followed by the
+    (box number, port) of every source feeding it; interface inputs are
+    numbered -1.
+    """
+    order = list(dict.fromkeys(starts))
+    number = {b: i for i, b in enumerate(order)} | {-1: -1}
+    drains = d.drains
+    code = []
+    for b in order:
+        for ends in (feeds[b], drains[b]):
+            for c, _ in ends:
+                if c not in number:
+                    number[c] = len(order)
+                    order.append(c)
+        record = [d.boxes[b]]
+        for c, k in feeds[b]:
+            record += number[c], k
+        code.append(tuple(record))
+    return order, number, code
+
+
+def _canonical_key(d: StringDiagram) -> tuple:
+    starts = (c for c, _ in (*d.drains[-1], *d.results) if c >= 0)
+    _, number, code = _walk(d, d.feeds, starts)
+    outputs = [x for c, k in d.results for x in (number[c], k)]
+    seen = set(number)
+    closed = []
+    for b in range(len(d.boxes)):
+        if b not in seen:
+            component = _walk(d, d.feeds, [b])[0]
+            seen.update(component)
+            closed.append(min(tuple(_walk(d, d.feeds, [s])[2]) for s in component))
+    return d.inputs, d.outputs, tuple(code), tuple(outputs), tuple(sorted(closed))
 
 
 @dataclass(frozen=True)
 class StringDiagram:
     """Canonical anchored form of a free-SMC morphism.
 
-    ``boxes[b]`` is the generator label of box ``b``; wires pair a source
-    endpoint with a target endpoint, and every port and every interface
-    position carries exactly one wire.
+    ``boxes[b]`` is the generator label of box ``b``, typed
+    ``box_doms[b] -> box_cods[b]``.  The wiring is the source of every
+    port that takes one: ``feeds[b][p]`` feeds input port ``p`` of box
+    ``b``, and ``results[j]`` feeds interface output ``j``.  A source is
+    ``(b, k)`` for output port ``k`` of box ``b``, or ``(-1, i)`` for
+    interface input ``i``; every source feeds exactly one port.
     """
 
     boxes: tuple[str, ...]
@@ -289,50 +364,41 @@ class StringDiagram:
     box_cods: tuple[Word, ...]
     inputs: Word
     outputs: Word
-    wires: frozenset[tuple[Endpoint, Endpoint]]
-
-    def validate(self) -> None:
-        """Check port coverage, label agreement and acyclicity."""
-        sources = [("in", i) for i in range(len(self.inputs))]
-        targets = [("out", i) for i in range(len(self.outputs))]
-        for b, _ in enumerate(self.boxes):
-            sources.extend(("bo", b, j) for j in range(len(self.box_cods[b])))
-            targets.extend(("bi", b, j) for j in range(len(self.box_doms[b])))
-        seen_src = [src for src, _ in self.wires]
-        seen_tgt = [tgt for _, tgt in self.wires]
-        if sorted(seen_src) != sorted(sources) or sorted(seen_tgt) != sorted(targets):
-            raise ValidationError("every port must carry exactly one wire")
-        # Kahn's algorithm: a box is ready once every box feeding it is.
-        indegree = [0] * len(self.boxes)
-        successors: list[list[int]] = [[] for _ in self.boxes]
-        for src, tgt in self.wires:
-            if self._label(src) != self._label(tgt):
-                raise ValidationError(f"wire {src} -> {tgt} joins unequal labels")
-            if src[0] == "bo" and tgt[0] == "bi":
-                successors[src[1]].append(tgt[1])
-                indegree[tgt[1]] += 1
-        ready = [b for b, n in enumerate(indegree) if n == 0]
-        for b in ready:
-            for c in successors[b]:
-                indegree[c] -= 1
-                if indegree[c] == 0:
-                    ready.append(c)
-        if len(ready) < len(self.boxes):
-            raise ValidationError("box dependency relation has a cycle")
-
-    def _label(self, endpoint: Endpoint) -> str:
-        kind = endpoint[0]
-        if kind == "in":
-            return self.inputs[endpoint[1]]
-        if kind == "out":
-            return self.outputs[endpoint[1]]
-        if kind == "bi":
-            return self.box_doms[endpoint[1]][endpoint[2]]
-        return self.box_cods[endpoint[1]][endpoint[2]]
+    feeds: tuple[tuple[tuple[int, int], ...], ...]
+    results: tuple[tuple[int, int], ...]
 
     @cached_property
-    def _key(self) -> tuple:
-        return _canonical_key(self)
+    def drains(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """What each source feeds, derived once: ``drains[b][k]`` for the
+        source ``(b, k)``, so ``drains[-1]`` is the interface inputs' row.
+        A target is ``(c, p)`` for input port ``p`` of box ``c``, or
+        ``(-1, j)`` for interface output ``j``."""
+        rows = [[None] * len(word) for word in (*self.box_cods, self.inputs)]
+        for c, ends in enumerate((self.results, *self.feeds), -1):
+            for p, (b, k) in enumerate(ends):
+                rows[b][k] = (c, p)
+        return tuple(map(tuple, rows))
+
+    def validate(self) -> None:
+        """Check that each box output and interface input feeds exactly one
+        port, of its own label, and that box dependencies are acyclic."""
+        if not len(self.boxes) == len(self.box_doms) == len(self.box_cods) == len(self.feeds):
+            raise ValidationError("every box needs a domain, a codomain and a feed row")
+        given = (*self.box_cods, self.inputs)
+        sources = {(b, k) for b in range(-1, len(self.boxes)) for k in range(len(given[b]))}
+        ends = [end for row in (self.results, *self.feeds) for end in row]
+        if len(ends) != len(sources) or set(ends) != sources:
+            raise ValidationError("every box output and interface input must feed one port")
+        for word, row in zip((self.outputs, *self.box_doms), (self.results, *self.feeds)):
+            if len(row) != len(word) or any(given[b][k] != x for x, (b, k) in zip(word, row)):
+                raise ValidationError(f"ports {word} are fed {row}: wrong number or labels")
+        graph = {c: {b for b, _ in row if b >= 0} for c, row in enumerate(self.feeds)}
+        try:
+            TopologicalSorter(graph).prepare()
+        except CycleError:
+            raise ValidationError("box dependency relation has a cycle") from None
+
+    _key = cached_property(_canonical_key)
 
 
 def to_diagram(t: MorphismTerm, sig: SmcPresentation) -> StringDiagram:
@@ -340,14 +406,14 @@ def to_diagram(t: MorphismTerm, sig: SmcPresentation) -> StringDiagram:
 
     Boxes are numbered by the left-to-right order of ``Gen`` occurrences.
     Every open end of a fragment is a link; composing two fragments joins
-    each output link of the first to the matching input link of the
-    second through ``alias``, so nothing is copied or renumbered, and
-    interface positions are assigned once, at the root.
+    each input link of the second to the matching output link of the
+    first through ``alias``, so nothing is copied or renumbered, and
+    interface positions are assigned once, at the root.  A box input or
+    interface output then reads its source from the root of its link.
     """
-    boxes: list[tuple[str, Word, Word]] = []
+    boxes: list[tuple[str, Word, Word, int]] = []
     letter: list[str] = []
-    source: list[Endpoint | None] = []
-    target: list[Endpoint | None] = []
+    source: list[tuple[int, int] | None] = []
     alias: dict[int, int] = {}
 
     def find(link: int) -> int:
@@ -363,15 +429,13 @@ def to_diagram(t: MorphismTerm, sig: SmcPresentation) -> StringDiagram:
         first = len(letter)
         if isinstance(node, Gen):
             b = len(boxes)
-            boxes.append((node.name, dom, cod))
+            boxes.append((node.name, dom, cod, first))
             letter.extend(dom + cod)
-            source.extend([None] * len(dom) + [("bo", b, k) for k in range(len(cod))])
-            target.extend([("bi", b, p) for p in range(len(dom))] + [None] * len(cod))
+            source.extend([None] * len(dom) + [(b, k) for k in range(len(cod))])
             middle = first + len(dom)
             return range(first, middle), range(middle, len(letter))
         letter.extend(dom)
         source.extend([None] * len(dom))
-        target.extend([None] * len(dom))
         links = range(first, len(letter))
         if isinstance(node, Perm):
             return links, tuple(links[p] for p in node.perm)
@@ -380,76 +444,24 @@ def to_diagram(t: MorphismTerm, sig: SmcPresentation) -> StringDiagram:
     def compose(first: tuple[Sequence, Sequence], second: tuple[Sequence, Sequence]):
         _check_composable([letter[x] for x in first[1]], [letter[y] for y in second[0]])
         for x, y in zip(first[1], second[0]):
-            x, y = find(x), find(y)
-            target[x] = target[y]
-            alias[y] = x
+            alias[find(y)] = find(x)
         return first[0], second[1]
 
     ins, outs = fold_term(t, leaf, compose, _tensor_ends)
     for i, x in enumerate(ins):
-        source[find(x)] = ("in", i)
-    for j, y in enumerate(outs):
-        target[find(y)] = ("out", j)
+        source[find(x)] = (-1, i)
     return StringDiagram(
-        boxes=tuple(label for label, _, _ in boxes),
-        box_doms=tuple(d for _, d, _ in boxes),
-        box_cods=tuple(c for _, _, c in boxes),
+        boxes=tuple(label for label, _, _, _ in boxes),
+        box_doms=tuple(dom for _, dom, _, _ in boxes),
+        box_cods=tuple(cod for _, _, cod, _ in boxes),
         inputs=tuple(letter[x] for x in ins),
         outputs=tuple(letter[y] for y in outs),
-        wires=frozenset(
-            (source[w], target[w]) for w in range(len(letter)) if w not in alias
+        feeds=tuple(
+            tuple(source[find(x)] for x in range(first, first + len(dom)))
+            for _, dom, _, first in boxes
         ),
+        results=tuple(source[find(y)] for y in outs),
     )
-
-
-def _canonical_key(d: StringDiagram) -> tuple:
-    feeds: list[list] = [[None] * len(dom) for dom in d.box_doms]
-    drains: list[list] = [[None] * len(cod) for cod in d.box_cods]
-    in_targets: list = [None] * len(d.inputs)
-    out_sources: list = [None] * len(d.outputs)
-    for src, tgt in d.wires:
-        if src[0] == "bo":
-            drains[src[1]][src[2]] = tgt
-        else:
-            in_targets[src[1]] = tgt
-        if tgt[0] == "bi":
-            feeds[tgt[1]][tgt[2]] = src
-        else:
-            out_sources[tgt[1]] = src
-
-    def walk(starts: Iterable[int]) -> tuple[dict[int, int], list[tuple]]:
-        """Number boxes breadth-first from ``starts``, ports in port order.
-
-        Each box is encoded, in walk order, as its label followed by the
-        (box number, port) of every end feeding it; the number of an
-        interface input is -1.
-        """
-        order = list(dict.fromkeys(starts))
-        number = {b: i for i, b in enumerate(order)}
-        code = []
-        for b in order:
-            for end in feeds[b] + drains[b]:
-                if len(end) == 3 and end[1] not in number:
-                    number[end[1]] = len(order)
-                    order.append(end[1])
-            record = [d.boxes[b]]
-            for end in feeds[b]:
-                record += (number[end[1]], end[2]) if len(end) == 3 else (-1, end[1])
-            code.append(tuple(record))
-        return number, code
-
-    number, code = walk(end[1] for end in in_targets + out_sources if len(end) == 3)
-    outputs = []
-    for end in out_sources:
-        outputs += (number[end[1]], end[2]) if len(end) == 3 else (-1, end[1])
-    seen = set(number)
-    closed = []
-    for b in range(len(d.boxes)):
-        if b not in seen:
-            component = walk([b])[0]
-            seen.update(component)
-            closed.append(min(tuple(walk([s])[1]) for s in component))
-    return d.inputs, d.outputs, tuple(code), tuple(outputs), tuple(sorted(closed))
 
 
 def diagram_key(d: StringDiagram) -> tuple:

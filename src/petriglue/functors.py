@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from operator import add
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -26,6 +27,7 @@ from .fssmc import (
     Perm,
     StringDiagram,
     Tensor,
+    _walk,
     apply_perm,
     block_permutation,
     compose_terms,
@@ -143,9 +145,10 @@ def is_injective_on_object_generators(functor: StrictFunctor) -> bool:
 
 
 def is_transition_preserving(functor: StrictFunctor) -> bool:
-    """True iff every generator image is a symmetry-conjugated single box."""
+    """True iff every generator image is a symmetry-conjugated single box:
+    images are typechecked, so that is one ``Gen`` leaf."""
     return all(
-        len(to_diagram(functor.morphism_map[gen.name], functor.target).boxes) == 1
+        fold_term(functor.morphism_map[gen.name], lambda n: isinstance(n, Gen), add, add) == 1
         for gen in functor.source.morphisms
     )
 
@@ -276,26 +279,13 @@ def _rigid_through_hidden(d: StringDiagram, visible: set[str]) -> bool:
     ``visible``, those wires connect all boxes, no wire joins the two
     interfaces, and no automorphism moves a box: walks from distinct boxes
     differ, coding interface ends by one marker, as a splice loses positions."""
-    feeds, drains = ([[None] * len(word) for word in side] for side in (d.box_doms, d.box_cods))
-    for src, tgt in d.wires:
-        if src[0] == "bo" and tgt[0] == "bi":
-            if d.box_cods[src[1]][src[2]] in visible:
-                return False
-            feeds[tgt[1]][tgt[2]], drains[src[1]][src[2]] = src, tgt
-        elif src[0] == "in" and tgt[0] == "out":
-            return False
-
-    def walk(start: int) -> tuple:
-        order, number, code = [start], {start: 0}, []
-        for b in order:
-            for end in feeds[b] + drains[b]:
-                if end and end[1] not in number:
-                    number[end[1]] = len(order)
-                    order.append(end[1])
-            code.append((d.boxes[b], *[end and (number[end[1]], end[2]) for end in feeds[b]]))
-        return tuple(code)
-
-    return len(walk(0)) == len(d.boxes) == len({walk(b) for b in range(len(d.boxes))})
+    if any(b < 0 for b, _ in d.results):
+        return False
+    if any(b >= 0 and d.box_cods[b][k] in visible for ends in d.feeds for b, k in ends):
+        return False
+    blind = [[(b, k if b >= 0 else 0) for b, k in ends] for ends in d.feeds]
+    walks = [tuple(_walk(d, blind, [b])[2]) for b in range(len(d.boxes))]
+    return len(walks[0]) == len(d.boxes) == len(set(walks))
 
 
 def _firing_sequences(
@@ -321,41 +311,37 @@ def _spliced_diagram(
     """The diagram of the canonical firing term of ``sequence`` from ``dom``
     under the functor with ``object_map`` and generator diagrams ``pieces``.
 
-    No term is built or folded: tokens hold the wire ends of their
-    object's block, each piece is fed the tokens :func:`_leftmost_route`
-    picks, and its outputs become the first tokens.
+    No term is built or folded: tokens hold the sources of their
+    object's block, each piece's interface inputs are the tokens
+    :func:`_leftmost_route` picks, and its results become the first tokens.
     """
     letters = list(dom)
     inputs = [x for letter in dom for x in object_map[letter]]
-    ports = iter([("in", i) for i in range(len(inputs))])
+    ports = iter([(-1, i) for i in range(len(inputs))])
     tokens = [[next(ports) for _ in object_map[letter]] for letter in dom]
     boxes: list[str] = []
     box_doms: list[Word] = []
     box_cods: list[Word] = []
-    wires: list[tuple] = []
+    feeds: list[tuple] = []
     for name in sequence:
         gen, piece, offset = sig.morphism_index[name], pieces[name], len(boxes)
         chosen, rest = _leftmost_route(letters, gen.dom)
         feed = [end for i in chosen for end in tokens[i]]
-        outs: list = [None] * len(piece.outputs)
-        for src, tgt in piece.wires:
-            src = feed[src[1]] if src[0] == "in" else ("bo", src[1] + offset, src[2])
-            if tgt[0] == "out":
-                outs[tgt[1]] = src
-            else:
-                wires.append((src, ("bi", tgt[1] + offset, tgt[2])))
-        ends = iter(outs)
+        rows = [tuple(feed[k] if b < 0 else (b + offset, k) for b, k in row)
+                for row in (*piece.feeds, piece.results)]
+        ends = iter(rows.pop())
+        feeds += rows
         tokens = [[next(ends) for _ in object_map[x]] for x in gen.cod] + [tokens[i] for i in rest]
         letters = list(gen.cod) + [letters[i] for i in rest]
         boxes += piece.boxes
         box_doms += piece.box_doms
         box_cods += piece.box_cods
     order = sorting_permutation(letters, sig.object_rank)
-    outs = [end for i in order for end in tokens[i]]
-    wires += zip(outs, [("out", j) for j in range(len(outs))])
+    results = tuple(end for i in order for end in tokens[i])
     outputs = tuple(x for i in order for x in object_map[letters[i]])
     return StringDiagram(
-        tuple(boxes), tuple(box_doms), tuple(box_cods), tuple(inputs), outputs, frozenset(wires)
+        tuple(boxes), tuple(box_doms), tuple(box_cods), tuple(inputs), outputs,
+        tuple(feeds), results,
     )
 
 

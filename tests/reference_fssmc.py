@@ -10,7 +10,6 @@ from __future__ import annotations
 from petriglue.errors import ValidationError
 from petriglue.fssmc import (
     Compose,
-    Endpoint,
     Gen,
     Id,
     MorphismTerm,
@@ -21,6 +20,10 @@ from petriglue.fssmc import (
     typecheck,
 )
 from petriglue.net_model import SmcPresentation, Word
+from support import diagram_from_wires, wires
+
+# Endpoints of a wire, as ``support.wires`` gives them.
+Endpoint = tuple
 
 
 class _Builder:
@@ -92,11 +95,11 @@ def _build(t: MorphismTerm, sig: SmcPresentation) -> _Builder:
         return builder
     if isinstance(t, Perm):
         builder = _Builder()
-        wires = [
+        perm_wires = [
             builder.new_wire(("in", t.perm[j]), ("out", j)) for j in range(len(t.word))
         ]
-        builder.in_wires = [wires[j] for j in invert_perm(t.perm)]
-        builder.out_wires = wires
+        builder.in_wires = [perm_wires[j] for j in invert_perm(t.perm)]
+        builder.out_wires = perm_wires
         return builder
     if isinstance(t, Compose):
         a = _build(t.first, sig)
@@ -131,22 +134,22 @@ def to_diagram(t: MorphismTerm, sig: SmcPresentation) -> StringDiagram:
     """Evaluate a term to its string diagram; one box per Gen occurrence."""
     dom, cod = typecheck(t, sig)
     builder = _build(t, sig)
-    wires = frozenset(
+    pairs = frozenset(
         (builder.producer[w], builder.consumer[w]) for w in builder.producer
     )
-    return StringDiagram(
+    return diagram_from_wires(
         boxes=tuple(label for label, _, _ in builder.boxes),
         box_doms=tuple(d for _, d, _ in builder.boxes),
         box_cods=tuple(c for _, _, c in builder.boxes),
         inputs=dom,
         outputs=cod,
-        wires=wires,
+        pairs=pairs,
     )
 
 
 def _connection_maps(d: StringDiagram) -> tuple[dict, dict]:
-    by_consumer = {tgt: src for src, tgt in d.wires}
-    by_producer = {src: tgt for src, tgt in d.wires}
+    by_consumer = {tgt: src for src, tgt in wires(d)}
+    by_producer = {src: tgt for src, tgt in wires(d)}
     return by_consumer, by_producer
 
 
@@ -199,7 +202,8 @@ def diagram_equal(d1: StringDiagram, d2: StringDiagram) -> bool:
     """
     if d1.inputs != d2.inputs or d1.outputs != d2.outputs:
         return False
-    if len(d1.boxes) != len(d2.boxes) or len(d1.wires) != len(d2.wires):
+    wires1, wires2 = wires(d1), wires(d2)
+    if len(d1.boxes) != len(d2.boxes) or len(wires1) != len(wires2):
         return False
     if sorted(d1.boxes) != sorted(d2.boxes):
         return False
@@ -222,22 +226,22 @@ def diagram_equal(d1: StringDiagram, d2: StringDiagram) -> bool:
         return endpoint
 
     def locally_consistent(b1: int) -> bool:
-        for src, tgt in d1.wires:
+        for src, tgt in wires1:
             ends = []
             for endpoint in (src, tgt):
                 if endpoint[0] in ("bi", "bo") and endpoint[1] not in mapping:
                     break
                 ends.append(map_endpoint(endpoint))
             else:
-                if (ends[0], ends[1]) not in d2.wires:
+                if (ends[0], ends[1]) not in wires2:
                     return False
         return True
 
     def search(i: int) -> bool:
         if i == len(order):
             return all(
-                (map_endpoint(src), map_endpoint(tgt)) in d2.wires
-                for src, tgt in d1.wires
+                (map_endpoint(src), map_endpoint(tgt)) in wires2
+                for src, tgt in wires1
             )
         b1 = order[i]
         for b2 in candidates[b1]:

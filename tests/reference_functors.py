@@ -62,6 +62,7 @@ from petriglue.functors import (
     is_injective_on_object_generators,
 )
 from petriglue.net_model import Word
+from support import diagram_from_wires, wires
 
 
 def parallel_classes(
@@ -376,8 +377,8 @@ def small_diagram_terms(sig, max_boxes: int = 2, max_letters: int = 4):
 def _then_swap(d: StringDiagram, perm: list[int]) -> StringDiagram:
     """``d`` followed by the symmetry ``perm`` of its output word."""
     moved = {("out", p): ("out", i) for i, p in enumerate(perm)}
-    wires = frozenset((src, moved.get(tgt, tgt)) for src, tgt in d.wires)
-    return StringDiagram(d.boxes, d.box_doms, d.box_cods, d.inputs, d.outputs, wires)
+    pairs = frozenset((src, moved.get(tgt, tgt)) for src, tgt in wires(d))
+    return diagram_from_wires(d.boxes, d.box_doms, d.box_cods, d.inputs, d.outputs, pairs)
 
 
 def small_diagram_collapses(functor: StrictFunctor, max_boxes: int = 2, max_letters: int = 4):

@@ -16,6 +16,7 @@ from petriglue import (
     PetriNet,
     SmcPresentation,
     StrictFunctor,
+    StringDiagram,
     Tensor,
     Transition,
     free_smc,
@@ -40,6 +41,43 @@ def net(places, transitions) -> PetriNet:
             Transition(name, Multiset.from_counts(pre), Multiset.from_counts(post))
             for name, pre, post in transitions
         ),
+    )
+
+
+def wires(d: StringDiagram) -> frozenset:
+    """The wiring of ``d`` as (source, target) endpoint pairs.
+
+    A source is ("in", i) for interface input ``i`` or ("bo", b, k) for
+    output port ``k`` of box ``b``; a target is ("out", j) for interface
+    output ``j`` or ("bi", b, p) for input port ``p`` of box ``b``.
+    """
+
+    def source(b: int, k: int) -> tuple:
+        return ("in", k) if b < 0 else ("bo", b, k)
+
+    pairs = {(source(*end), ("out", j)) for j, end in enumerate(d.results)}
+    pairs.update(
+        (source(*end), ("bi", b, p))
+        for b, ends in enumerate(d.feeds)
+        for p, end in enumerate(ends)
+    )
+    return frozenset(pairs)
+
+
+def diagram_from_wires(boxes, box_doms, box_cods, inputs, outputs, pairs) -> StringDiagram:
+    """The diagram whose wiring is the endpoint pairs ``pairs``, in the
+    format :func:`wires` returns; a port no pair reaches has source None."""
+    feeds = [[None] * len(dom) for dom in box_doms]
+    results = [None] * len(outputs)
+    for src, tgt in pairs:
+        end = (-1, src[1]) if src[0] == "in" else src[1:]
+        if tgt[0] == "out":
+            results[tgt[1]] = end
+        else:
+            feeds[tgt[1]][tgt[2]] = end
+    return StringDiagram(
+        tuple(boxes), tuple(box_doms), tuple(box_cods), tuple(inputs), tuple(outputs),
+        tuple(map(tuple, feeds)), tuple(results),
     )
 
 

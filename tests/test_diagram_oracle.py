@@ -31,7 +31,7 @@ from petriglue import (
     to_diagram,
 )
 from petriglue.fssmc import compose_terms
-from support import fig1_net, random_rewrite, random_term
+from support import diagram_from_wires, fig1_net, random_rewrite, random_term, wires
 
 SIG = free_smc(fig1_net())
 
@@ -68,9 +68,9 @@ def brute_force_equal(d1: StringDiagram, d2: StringDiagram) -> bool:
             continue
         assignment = {b: perm[b] for b in range(n)}
         image = {
-            (mapped(src, assignment), mapped(tgt, assignment)) for src, tgt in d1.wires
+            (mapped(src, assignment), mapped(tgt, assignment)) for src, tgt in wires(d1)
         }
-        if image == d2.wires:
+        if image == wires(d2):
             return True
     return False
 
@@ -105,31 +105,31 @@ def test_matches_brute_force_on_arbitrary_pairs():
     assert agreements >= 200
 
 
+def source_label(d: StringDiagram, source) -> str:
+    """The object a wire from ``source``, ("in", i) or ("bo", b, k), carries."""
+    return d.inputs[source[1]] if source[0] == "in" else d.box_cods[source[1]][source[2]]
+
+
 def perturbed(rng: random.Random, d: StringDiagram) -> StringDiagram | None:
     """``d`` with the targets of two same-label wires swapped, if any."""
-    wires = sorted(d.wires)
+    links = sorted(wires(d))
     pairs = [
         (i, j)
-        for i in range(len(wires))
-        for j in range(i + 1, len(wires))
-        if d._label(wires[i][0]) == d._label(wires[j][0])
-        and wires[i][1] != wires[j][1]
+        for i in range(len(links))
+        for j in range(i + 1, len(links))
+        if source_label(d, links[i][0]) == source_label(d, links[j][0])
+        and links[i][1] != links[j][1]
     ]
     if not pairs:
         return None
     i, j = rng.choice(pairs)
-    swapped = set(wires)
-    swapped.discard(wires[i])
-    swapped.discard(wires[j])
-    swapped.add((wires[i][0], wires[j][1]))
-    swapped.add((wires[j][0], wires[i][1]))
-    return StringDiagram(
-        boxes=d.boxes,
-        box_doms=d.box_doms,
-        box_cods=d.box_cods,
-        inputs=d.inputs,
-        outputs=d.outputs,
-        wires=frozenset(swapped),
+    swapped = set(links)
+    swapped.discard(links[i])
+    swapped.discard(links[j])
+    swapped.add((links[i][0], links[j][1]))
+    swapped.add((links[j][0], links[i][1]))
+    return diagram_from_wires(
+        d.boxes, d.box_doms, d.box_cods, d.inputs, d.outputs, frozenset(swapped)
     )
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,6 @@ from petriglue import (
     MorphismGenerator,
     Perm,
     SmcPresentation,
-    StringDiagram,
     Tensor,
     TypeMismatchError,
     UnknownGeneratorError,
@@ -28,10 +28,26 @@ from petriglue import (
     to_diagram,
     typecheck,
 )
+from petriglue.cli_io import parse_term
 from petriglue.fssmc import alignment_permutation, apply_perm, compose_terms, invert_perm
-from support import fig1_net, random_rewrite, random_term, random_term_with_dom
+from support import (
+    diagram_from_wires,
+    fig1_net,
+    random_rewrite,
+    random_term,
+    random_term_with_dom,
+    wires,
+)
 
 SIG = free_smc(fig1_net())
+P_Q = SmcPresentation(
+    ("A", "B"),
+    (
+        MorphismGenerator("p", ("A",), ("A", "B")),
+        MorphismGenerator("q", ("A", "B"), ("A",)),
+    ),
+)
+PQ = Compose(Gen("p"), Gen("q"))
 
 
 class TestTypecheck:
@@ -102,7 +118,7 @@ class TestToDiagram:
     def test_identity_wire(self):
         d = to_diagram(Id(("A",)), SIG)
         assert d.boxes == ()
-        assert len(d.wires) == 1
+        assert len(wires(d)) == 1
         d.validate()
 
     def test_parallel_generators(self):
@@ -133,13 +149,13 @@ class TestToDiagram:
 
     def test_cyclic_wiring_rejected(self):
         # Two boxes A -> A, each feeding the other; the interface wire passes by.
-        d = StringDiagram(
+        d = diagram_from_wires(
             boxes=("g", "g"),
             box_doms=(("A",), ("A",)),
             box_cods=(("A",), ("A",)),
             inputs=("A",),
             outputs=("A",),
-            wires=frozenset({
+            pairs=frozenset({
                 (("bo", 0, 0), ("bi", 1, 0)),
                 (("bo", 1, 0), ("bi", 0, 0)),
                 (("in", 0), ("out", 0)),
@@ -147,6 +163,29 @@ class TestToDiagram:
         )
         with pytest.raises(ValidationError, match="box dependency relation has a cycle"):
             d.validate()
+
+    @pytest.mark.parametrize(
+        "term, changes, match",
+        [
+            (PQ, {"feeds": (((-1, 0),), ((5, 0), (0, 1)))}, "must feed one port"),
+            (PQ, {"feeds": (((-1, 0),), ((0, 2), (0, 1)))}, "must feed one port"),
+            (PQ, {"feeds": (((-1, 1),), ((0, 0), (0, 1)))}, "must feed one port"),
+            (PQ, {"feeds": (((-1, 0),), ((0, 0), (0, 0)))}, "must feed one port"),
+            (PQ, {"feeds": (((-1, 0),), ((0, 0), None))}, "must feed one port"),
+            (PQ, {"feeds": (((-1, 0),), ((0, 0),))}, "must feed one port"),
+            (Gen("p"), {"outputs": ("A",), "results": ((0, 0),)}, "must feed one port"),
+            (PQ, {"feeds": (((-1, 0),), ((0, 1), (0, 0)))}, "wrong number or labels"),
+            (PQ, {"feeds": (((0, 0), (0, 1)), ((-1, 0),))}, "wrong number or labels"),
+            (PQ, {"feeds": (((-1, 0),),)}, "a feed row"),
+        ],
+        ids=["missing box", "missing port", "missing input", "used twice", "unfed",
+             "short row", "unused", "label mismatch", "rows swapped", "row missing"],
+    )
+    def test_bad_wiring_rejected(self, term, changes, match):
+        d = to_diagram(term, P_Q)
+        d.validate()
+        with pytest.raises(ValidationError, match=match):
+            replace(d, **changes).validate()
 
 
 class TestDiagramEqual:
@@ -277,7 +316,7 @@ class TestWiringOracle:
                     current = current + extra
             expected = self.eval_perm(term)
             diagram = to_diagram(term, SIG)
-            assert diagram.wires == frozenset(
+            assert wires(diagram) == frozenset(
                 (("in", expected[j]), ("out", j)) for j in range(len(expected))
             )
 
@@ -286,17 +325,19 @@ DEPTH = 100_000
 LOOP = SmcPresentation(("A",), (MorphismGenerator("g", ("A",), ("A",)),))
 
 
+def nested(node, right: bool):
+    """The composite or product of DEPTH copies of g, nested left or right."""
+    term = Gen("g")
+    for _ in range(DEPTH - 1):
+        term = node(Gen("g"), term) if right else node(term, Gen("g"))
+    return term
+
+
 @pytest.fixture(scope="module")
 def deep():
-    """Composites and products of DEPTH copies of g, nested left or right."""
-    terms = {}
-    for node in (Compose, Tensor):
-        for right in (False, True):
-            term = Gen("g")
-            for _ in range(DEPTH - 1):
-                term = node(Gen("g"), term) if right else node(term, Gen("g"))
-            terms[node, right] = term
-    return terms
+    return {
+        (node, right): nested(node, right) for node in (Compose, Tensor) for right in (False, True)
+    }
 
 
 class TestDeepTerms:
@@ -307,7 +348,7 @@ class TestDeepTerms:
         chain = deep[Compose, right]
         assert typecheck(chain, LOOP) == (("A",), ("A",))
         assert decomposition(chain) == {"g"}
-        assert to_diagram(chain, LOOP).wires == frozenset(
+        assert wires(to_diagram(chain, LOOP)) == frozenset(
             [(("in", 0), ("bi", 0, 0)), (("bo", DEPTH - 1, 0), ("out", 0))]
             + [(("bo", b, 0), ("bi", b + 1, 0)) for b in range(DEPTH - 1)]
         )
@@ -317,7 +358,7 @@ class TestDeepTerms:
         product = deep[Tensor, right]
         word = ("A",) * DEPTH
         assert typecheck(product, LOOP) == (word, word)
-        assert to_diagram(product, LOOP).wires == frozenset(
+        assert wires(to_diagram(product, LOOP)) == frozenset(
             pair
             for b in range(DEPTH)
             for pair in ((("in", b), ("bi", b, 0)), (("bo", b, 0), ("out", b)))
@@ -329,3 +370,32 @@ class TestDeepTerms:
     def test_functor_image(self, deep):
         image = apply_functor(identity_functor(LOOP), deep[Tensor, True])
         assert typecheck(image, LOOP) == (("A",) * DEPTH,) * 2
+
+    @pytest.mark.parametrize("node", [Compose, Tensor])
+    def test_equal_terms_compare_and_hash_equal(self, deep, node):
+        term, twin = deep[node, False], nested(node, False)
+        assert term is not twin
+        assert term == twin and hash(term) == hash(twin)
+        assert term != deep[node, True]
+
+    def test_parsed_terms_compare_hash_and_print(self):
+        text = "comp(" * 3000 + "gen(f)" + ",id([C,B]))" * 3000
+        term = Gen("f")
+        for _ in range(3000):
+            term = Compose(term, Id(("C", "B")))
+        assert parse_term(text) == parse_term(text) == term
+        assert hash(parse_term(text)) == hash(term)
+        assert repr(parse_term(text)) == (
+            "Compose(first=" * 3000 + "Gen(name='f')" + ", second=Id(word=('C', 'B')))" * 3000
+        )
+
+
+def test_shallow_repr_unchanged():
+    term = Compose(Tensor(Gen("g"), Id(("A",))), Perm(("A", "B"), (1, 0)))
+    assert repr(term) == (
+        "Compose(first=Tensor(left=Gen(name='g'), right=Id(word=('A',))), "
+        "second=Perm(word=('A', 'B'), perm=(1, 0)))"
+    )
+    assert repr(Tensor(Compose(Gen("f"), Id(())), Gen("h"))) == (
+        "Tensor(left=Compose(first=Gen(name='f'), second=Id(word=())), right=Gen(name='h'))"
+    )

@@ -218,6 +218,26 @@ class TestPredicates:
         )
         assert uncovered_target_generators(no_targets) == ()
 
+    def test_transition_preserving_matches_box_count(self):
+        rng = random.Random(27)
+        verdicts = set()
+        for _ in range(300):
+            target = random_presentation(rng)
+            images = {
+                f"t{i}": random_term(rng, target, rng.randint(1, 3))
+                for i in range(rng.randint(1, 3))
+            }
+            gens = tuple(
+                MorphismGenerator(name, *typecheck(image, target))
+                for name, image in images.items()
+            )
+            source = SmcPresentation(target.objects, gens)
+            functor = StrictFunctor(source, target, {o: (o,) for o in target.objects}, images)
+            by_boxes = all(len(to_diagram(t, target).boxes) == 1 for t in images.values())
+            assert is_transition_preserving(functor) == by_boxes
+            verdicts.add(by_boxes)
+        assert verdicts == {False, True}
+
     def test_transition_preserving_closed_under_composition(self):
         rng = random.Random(26)
         for _ in range(20):
