@@ -247,7 +247,8 @@ def _check_composable(cod: Sequence[str], dom: Sequence[str]) -> None:
 def typecheck(t: MorphismTerm, sig: SmcPresentation) -> tuple[Word, Word]:
     """Return (dom, cod) of a well-formed term, or raise.
 
-    Raises :class:`UnknownGeneratorError` for undeclared names,
+    A single ``Gen``, ``Id`` or ``Perm`` leaf is typed directly, without
+    a fold.  Raises :class:`UnknownGeneratorError` for undeclared names,
     :class:`BadPermutationError` for invalid symmetries and
     :class:`TypeMismatchError` when a composition boundary disagrees.
     """
@@ -256,7 +257,10 @@ def typecheck(t: MorphismTerm, sig: SmcPresentation) -> tuple[Word, Word]:
         _check_composable(first[1], second[0])
         return first[0], second[1]
 
-    dom, cod = fold_term(t, lambda node: _leaf_type(node, sig), compose, _tensor_ends)
+    if isinstance(t, (Gen, Id, Perm)):
+        dom, cod = _leaf_type(t, sig)
+    else:
+        dom, cod = fold_term(t, lambda node: _leaf_type(node, sig), compose, _tensor_ends)
     return tuple(dom), tuple(cod)
 
 

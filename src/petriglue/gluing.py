@@ -43,12 +43,10 @@ from .fssmc import (
     block_permutation,
     compose_terms,
     decomposition,
-    diagram_equal,
     identity_perm,
     invert_perm,
     sorting_permutation,
     tensor_terms,
-    to_diagram,
     typecheck,
 )
 from .functors import (
@@ -78,6 +76,7 @@ from .net_model import (
 from .semantics import (
     Fold,
     FreeFold,
+    FreeSmc,
     NetWithSemantics,
     PairFold,
     TerminalFold,
@@ -374,9 +373,7 @@ def coequalize_tp(
     for gen in first.source.morphisms:
         left_image = apply_functor(coequalizer, first.morphism_map[gen.name])
         right_image = apply_functor(coequalizer, second.morphism_map[gen.name])
-        if not diagram_equal(
-            to_diagram(left_image, quotient), to_diagram(right_image, quotient)
-        ):
+        if not sem_equal(FreeSmc(quotient), left_image, right_image):
             raise PreconditionFailedError(
                 f"the two images of {gen.name!r} twist merged generators "
                 "against each other; the coequalizer of this pair is not a "

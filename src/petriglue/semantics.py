@@ -22,7 +22,7 @@ from .errors import (
     TypeMismatchError,
     ValidationError,
 )
-from .fssmc import MorphismTerm, diagram_equal, to_diagram
+from .fssmc import MorphismTerm, diagram_equal, to_diagram, typecheck
 from .functors import StrictFunctor, apply_functor, compose_functors, identity_functor
 from .net_model import PetriNet, SmcPresentation, Word
 
@@ -55,10 +55,17 @@ SemValue = object
 
 
 def sem_equal(handle: SemanticsHandle, first: SemValue, second: SemValue) -> bool:
-    """Equality of backend morphism values; parallel inputs required."""
+    """Equality of backend morphism values; parallel inputs required.
+
+    In a free backend, syntactically equal terms are equal once they
+    typecheck; only terms that differ are compared by their diagrams.
+    """
     if isinstance(handle, Terminal):
         return True
     if isinstance(handle, FreeSmc):
+        if first == second:
+            typecheck(first, handle.presentation)
+            return True
         d1, d2 = (to_diagram(term, handle.presentation) for term in (first, second))
         if (d1.inputs, d1.outputs) != (d2.inputs, d2.outputs):
             raise TypeMismatchError("compared terms must be parallel")

@@ -2,8 +2,9 @@
 
 ``to_diagram`` folds a term recursively, merging copied wire tables at
 every node; ``diagram_equal`` runs joint colour refinement and then a
-backtracking search for a box bijection.  The tests compare the
-library's iterative builder and canonical key against these.
+backtracking search for a box bijection; ``typecheck`` folds every
+term, a single leaf included.  The tests compare the library's
+iterative builder, canonical key and typing against these.
 """
 from __future__ import annotations
 
@@ -16,14 +17,28 @@ from petriglue.fssmc import (
     Perm,
     StringDiagram,
     Tensor,
+    _check_composable,
+    _leaf_type,
+    _tensor_ends,
+    fold_term,
     invert_perm,
-    typecheck,
 )
 from petriglue.net_model import SmcPresentation, Word
 from support import diagram_from_wires, wires
 
 # Endpoints of a wire, as ``support.wires`` gives them.
 Endpoint = tuple
+
+
+def typecheck(t: MorphismTerm, sig: SmcPresentation) -> tuple[Word, Word]:
+    """(dom, cod) of a well-formed term by a fold over all of it, or raise."""
+
+    def compose(first, second):
+        _check_composable(first[1], second[0])
+        return first[0], second[1]
+
+    dom, cod = fold_term(t, lambda node: _leaf_type(node, sig), compose, _tensor_ends)
+    return tuple(dom), tuple(cod)
 
 
 class _Builder:

@@ -44,6 +44,14 @@ def net(places, transitions) -> PetriNet:
     )
 
 
+def outcome(function, *args):
+    """What a call returns, or the class and message of what it raises."""
+    try:
+        return function(*args)
+    except Exception as error:
+        return type(error), str(error)
+
+
 def wires(d: StringDiagram) -> frozenset:
     """The wiring of ``d`` as (source, target) endpoint pairs.
 

@@ -30,9 +30,11 @@ from petriglue import (
 )
 from petriglue.cli_io import parse_term
 from petriglue.fssmc import alignment_permutation, apply_perm, compose_terms, invert_perm
+import reference_fssmc
 from support import (
     diagram_from_wires,
     fig1_net,
+    outcome,
     random_rewrite,
     random_term,
     random_term_with_dom,
@@ -70,6 +72,39 @@ class TestTypecheck:
     def test_bad_permutation(self):
         with pytest.raises(BadPermutationError):
             typecheck(Perm(("A", "B"), (0, 0)), SIG)
+
+    @pytest.mark.parametrize(
+        "leaf",
+        [
+            Gen("g"),
+            Gen("nope"),
+            Id(("A", "B", "A")),
+            Id(()),
+            Id(("A", "Z")),
+            Perm(("A", "B", "C"), (2, 0, 1)),
+            Perm((), ()),
+            Perm(("A", "Z"), (1, 0)),
+            Perm(("A", "B"), (0, 0)),
+            Perm(("A", "B"), (0, 1, 2)),
+        ],
+    )
+    def test_leaf_matches_fold(self, leaf):
+        """A single leaf is typed without a fold, with the fold's pair or
+        error (``reference_fssmc.typecheck`` folds every term)."""
+        assert outcome(typecheck, leaf, SIG) == outcome(reference_fssmc.typecheck, leaf, SIG)
+
+    def test_random_leaves_match_fold(self):
+        rng = random.Random(67)
+        names = [g.name for g in SIG.morphisms] + ["nope"]
+        letters = list(SIG.objects) + ["Z"]
+        for _ in range(300):
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 4)))
+            perm = list(range(len(word) + rng.choice([0, 0, 0, 1, -1])))
+            rng.shuffle(perm)
+            if perm and rng.random() < 0.2:
+                perm[0] = perm[-1]
+            leaf = rng.choice([Gen(rng.choice(names)), Id(word), Perm(word, tuple(perm))])
+            assert outcome(typecheck, leaf, SIG) == outcome(reference_fssmc.typecheck, leaf, SIG)
 
 
 class TestSymmetry:

@@ -17,6 +17,7 @@ from petriglue import (
     SmcPresentation,
     SourceMismatchError,
     StrictFunctor,
+    UnknownGeneratorError,
     ValidationError,
     apply_functor,
     check_faithful_bounded,
@@ -252,6 +253,20 @@ class TestStrictness:
         source = SmcPresentation(("A",), (MorphismGenerator("t", ("A",), ("A",)),))
         with pytest.raises(ValidationError):
             StrictFunctor(source, SIG, {"A": ("A",)}, {"t": Gen("g")})
+
+    def test_bad_generator_image_messages(self):
+        """A ``Gen`` image is typed by looking it up, with the messages the
+        fold gave."""
+        source = SmcPresentation(("A",), (MorphismGenerator("t", ("A",), ("A",)),))
+        with pytest.raises(ValidationError) as caught:
+            StrictFunctor(source, SIG, {"A": ("A",)}, {"t": Gen("g")})
+        assert str(caught.value) == (
+            "image of 't' is not strict: expected ('A',) -> ('A',), "
+            "got ('A', 'A', 'B', 'C', 'C', 'C') -> ('E', 'F')"
+        )
+        with pytest.raises(UnknownGeneratorError) as caught:
+            StrictFunctor(source, SIG, {"A": ("A",)}, {"t": Gen("nope")})
+        assert str(caught.value) == "unknown morphism generator 'nope'"
 
     def test_missing_image_rejected(self):
         source = SmcPresentation(("A",), ())

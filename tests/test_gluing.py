@@ -514,6 +514,54 @@ class TestIdentify:
         )
 
 
+class TestIdentifyDiagramCount:
+    """``identify`` on fig5a builds diagrams only for fold images that
+    differ as terms; equal images are equal once they typecheck."""
+
+    def run(self, monkeypatch, witness_file, fold_images=None, extra_generators=()):
+        doc = json.loads((FIXTURES / "fig5a.json").read_text())
+        doc["fold"]["morphisms"].update(fold_images or {})
+        doc["semantics"]["morphisms"] += extra_generators
+        fig5 = parse_net(json.dumps(doc))
+        witness = parse_witness(
+            json.loads((FIXTURES / witness_file).read_text()), fig5.presentation
+        )
+        original = petriglue.fssmc.to_diagram
+        built = [0]
+
+        def counting_to_diagram(*args):
+            built[0] += 1
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("petriglue") and getattr(module, "to_diagram", None) is original:
+                monkeypatch.setattr(module, "to_diagram", counting_to_diagram)
+        return identify(fig5, witness), built[0]
+
+    @pytest.mark.parametrize(
+        "witness_file", ["witness-fig5a-transitions.json", "witness-fig5a-places.json"]
+    )
+    def test_equal_images_build_no_diagram(self, monkeypatch, witness_file):
+        _, built = self.run(monkeypatch, witness_file)
+        assert built == 0
+
+    def test_images_equal_only_as_morphisms_are_compared(self, monkeypatch):
+        conjugated = "comp(perm([A],[0]),comp(gen(f),perm([B],[0])))"
+        (result, _), built = self.run(
+            monkeypatch, "witness-fig5a-transitions.json", {"f2": conjugated}
+        )
+        assert built > 0
+        assert [t.name for t in result.net.transitions] == ["f1", "g", "h"]
+        assert result.fold.morphism_image("f1") == Gen("f")
+
+    def test_images_unequal_as_morphisms_are_rejected(self, monkeypatch):
+        other = {"name": "e", "dom": ["A"], "cod": ["B"]}
+        with pytest.raises((WellDefinednessError, SemanticsObstructionError)):
+            self.run(
+                monkeypatch, "witness-fig5a-transitions.json", {"f2": "gen(e)"}, [other]
+            )
+
+
 def _random_free_fold(
     rng: random.Random, n: PetriNet, word_images: bool = False
 ) -> FreeFold:

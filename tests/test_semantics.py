@@ -1,6 +1,7 @@
 """Backends, folds, morphism equality, products and transport."""
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -31,8 +32,18 @@ from petriglue import (
     symmetry,
     terminal_net,
     transport,
+    typecheck,
 )
-from support import fig1_net, fig1_nws, random_embedding, random_term
+import reference_semantics
+from support import (
+    fig1_net,
+    fig1_nws,
+    outcome,
+    random_embedding,
+    random_rewrite,
+    random_term,
+    random_term_with_dom,
+)
 
 SIG = free_smc(fig1_net())
 
@@ -84,14 +95,80 @@ class TestSemEqual:
 
     def test_equivalence_relation_per_backend(self):
         rng = random.Random(31)
-        from support import random_rewrite
-
         handle = FreeSmc(SIG)
         for _ in range(15):
             t = random_term(rng, SIG, 3)
             u = random_rewrite(rng, t, SIG)
             assert sem_equal(handle, t, t)
             assert sem_equal(handle, t, u) == sem_equal(handle, u, t)
+
+
+def _free_pair(rng: random.Random, kind: str) -> tuple:
+    """Two terms over ``SIG`` of the given kind of comparison."""
+    t = random_term(rng, SIG, 4)
+    dom, cod = typecheck(t, SIG)
+    if kind == "same":
+        return t, t
+    if kind == "copy":
+        return t, copy.deepcopy(t)
+    if kind == "rewrite":
+        return t, random_rewrite(rng, t, SIG)
+    if kind == "unequal":
+        if len(cod) >= 2:
+            return t, Compose(t, symmetry(cod, (1, 0, *range(2, len(cod)))))
+        return t, random_term_with_dom(rng, SIG, dom)
+    if kind == "other":
+        return t, random_term(rng, SIG, 4)
+    bad = rng.choice([Compose(t, Id((*cod, "A"))), Gen("nope"), Id(("Z",))])
+    return bad, rng.choice([bad, copy.deepcopy(bad)])
+
+
+class TestSemEqualAgainstDiagramOracle:
+    """``sem_equal`` against ``reference_semantics.sem_equal``, which builds
+    both diagrams for every free comparison."""
+
+    KINDS = ("same", "copy", "rewrite", "unequal", "other", "ill-typed")
+
+    def test_random_comparisons(self):
+        rng = random.Random(71)
+        free = FreeSmc(SIG)
+        handles = [
+            free,
+            Terminal(),
+            Product(free, free),
+            Product(free, Terminal()),
+            Product(Terminal(), free),
+        ]
+        seen = set()
+        for _ in range(400):
+            handle = rng.choice(handles)
+            if isinstance(handle, Product):
+                left = _free_pair(rng, rng.choice(self.KINDS))
+                right = _free_pair(rng, rng.choice(self.KINDS))
+                first, second = (left[0], right[0]), (left[1], right[1])
+            else:
+                first, second = _free_pair(rng, rng.choice(self.KINDS))
+            result = outcome(sem_equal, handle, first, second)
+            assert result == outcome(reference_semantics.sem_equal, handle, first, second)
+            if isinstance(result, bool):
+                seen.add(result)
+            else:
+                seen.add("not parallel" if "parallel" in result[1] else result[0].__name__)
+        assert seen == {
+            True,
+            False,
+            "not parallel",
+            "TypeMismatchError",
+            "UnknownGeneratorError",
+        }
+
+    def test_ill_typed_term_against_itself(self):
+        bad = Compose(Gen("g"), Gen("h"))
+        for second in (bad, copy.deepcopy(bad)):
+            result = outcome(sem_equal, FreeSmc(SIG), bad, second)
+            assert result[0] is TypeMismatchError
+            assert "parallel" not in result[1]
+            assert result == outcome(reference_semantics.sem_equal, FreeSmc(SIG), bad, second)
 
 
 class TestProductFolds:
