@@ -487,15 +487,16 @@ def export_dot(net: PetriNet, fold: Fold | None = None) -> str:
             label = f"{t.name} : {_sem_morphism_label(fold.morphism_image(t.name))}"
         lines.append(f"  {_quote('trans:' + t.name)} [shape=box, label={_quote(label)}];")
     for t in net.transitions:
+        pre, post = t.pre.to_dict(), t.post.to_dict()
         for place in net.places:
-            count = t.pre.count(place)
+            count = pre.get(place, 0)
             if count:
                 suffix = f" [label=\"{count}\"]" if count > 1 else ""
                 lines.append(
                     f"  {_quote('place:' + place)} -> {_quote('trans:' + t.name)}{suffix};"
                 )
         for place in net.places:
-            count = t.post.count(place)
+            count = post.get(place, 0)
             if count:
                 suffix = f" [label=\"{count}\"]" if count > 1 else ""
                 lines.append(

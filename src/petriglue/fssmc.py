@@ -16,12 +16,12 @@ interface outputs, in position order, reads each box's sources and then
 its targets (:attr:`StringDiagram.drains`) in port order; it numbers
 every box connected to the interface the same way in any isomorphic
 copy.  Each closed component (boxes no wire path joins to the
-interface) is encoded by the least such walk over its start boxes, and
-the component codes are sorted.
+interface) is encoded by the least such walk from a box of its rarest
+label, the least label on a tie, and the component codes are sorted.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
@@ -347,7 +347,12 @@ def _canonical_key(d: StringDiagram) -> tuple:
         if b not in seen:
             component = _walk(d, d.feeds, [b])[0]
             seen.update(component)
-            closed.append(min(tuple(_walk(d, d.feeds, [s])[2]) for s in component))
+            # Only boxes of the rarest label, the least on a tie, start a
+            # walk: isomorphisms preserve that class.
+            counts = Counter(d.boxes[c] for c in component)
+            label = min(counts, key=lambda x: (counts[x], x))
+            starts = (c for c in component if d.boxes[c] == label)
+            closed.append(min(tuple(_walk(d, d.feeds, [s])[2]) for s in starts))
     return d.inputs, d.outputs, tuple(code), tuple(outputs), tuple(sorted(closed))
 
 
@@ -475,9 +480,9 @@ def diagram_key(d: StringDiagram) -> tuple:
     outputs, in position order, follows each box's ports in port order
     and so numbers every box connected to the interface the same way in
     every isomorphic copy.  Each closed component, one no wire path joins
-    to the interface, is encoded by the least such walk over its start
-    boxes, and the component codes are sorted.  The key is computed once
-    per diagram object.
+    to the interface, is encoded by the least such walk from a box of its
+    rarest label, the least label on a tie, and the component codes are
+    sorted.  The key is computed once per diagram object.
     """
     return d._key
 

@@ -82,6 +82,7 @@ from .semantics import (
     TerminalFold,
     commutes_with_semantics,
     sem_equal,
+    terminal_net,
 )
 
 
@@ -716,49 +717,30 @@ def _synchronization_expression(
     consumer inputs outside the boundary enter as extra identities on
     the producer side.
     """
-    producer_term = tensor_terms(
-        [Gen(name) for name, count in producer_counts for _ in range(count)]
+    producer_term, consumer_term = (
+        tensor_terms([Gen(name) for name, count in counts for _ in range(count)])
+        for counts in (producer_counts, consumer_counts)
     )
-    consumer_term = tensor_terms(
-        [Gen(name) for name, count in consumer_counts for _ in range(count)]
-    )
-    out_word: Word = tuple(
-        letter
-        for name, count in producer_counts
-        for _ in range(count)
-        for letter in sig.morphism(name).cod
-    )
-    need_word: Word = tuple(
-        letter
-        for name, count in consumer_counts
-        for _ in range(count)
-        for letter in sig.morphism(name).dom
-    )
+    out_word = typecheck(producer_term, sig)[1]
+    need_word = typecheck(consumer_term, sig)[0]
     out_rest = tuple(letter for letter in out_word if letter != boundary)
     need_rest = tuple(letter for letter in need_word if letter != boundary)
 
-    stage_in = producer_term if not need_rest else Tensor(producer_term, Id(need_rest))
-    mid_word = out_word + need_rest
-    target_word = need_word + out_rest
+    def tagged(word: Word, tag: str) -> list[tuple[str, str]]:
+        return [("boundary" if letter == boundary else tag, letter) for letter in word]
 
-    boundary_positions = [i for i, letter in enumerate(out_word) if letter == boundary]
-    rest_positions = [i for i, letter in enumerate(out_word) if letter != boundary]
-    extra_positions = list(range(len(out_word), len(mid_word)))
-    route: list[int] = []
-    take_boundary = iter(boundary_positions)
-    take_extra = iter(extra_positions)
-    take_rest = iter(rest_positions)
-    for letter in need_word:
-        route.append(next(take_boundary) if letter == boundary else next(take_extra))
-    for _ in out_rest:
-        route.append(next(take_rest))
-
-    stage_out = consumer_term if not out_rest else Tensor(consumer_term, Id(out_rest))
-    parts: list[MorphismTerm] = [stage_in]
-    if tuple(route) != identity_perm(len(mid_word)):
-        parts.append(Perm(mid_word, tuple(route)))
-    parts.append(stage_out)
-    assert apply_perm(mid_word, tuple(route)) == target_word
+    # Letters are matched by tag and in order: boundary tokens cross the
+    # cut, extra inputs reach the consumers and the rest passes by.
+    route = alignment_permutation(
+        tagged(out_word, "rest") + tagged(need_rest, "extra"),
+        tagged(need_word, "extra") + tagged(out_rest, "rest"),
+    )
+    parts: list[MorphismTerm] = [
+        producer_term if not need_rest else Tensor(producer_term, Id(need_rest))
+    ]
+    if route != identity_perm(len(route)):
+        parts.append(Perm(out_word + need_rest, route))
+    parts.append(consumer_term if not out_rest else Tensor(consumer_term, Id(out_rest)))
     return compose_terms(parts)
 
 
@@ -770,11 +752,14 @@ def boundary_compose(
 ) -> BoundaryComposition:
     """Compose nets along paired places: merge, then synchronize.
 
-    Stage one glues the nets over the paired boundary places.  Stage two
-    conflates, for every merged place, its producers and consumers with
-    the minimal balanced firing counts, pruning the place afterwards.
-    Producers must all come from the left net and consumers from the
-    right one.
+    Stage one identifies each paired place pair on the coproduct, left
+    places keeping their names.  Stage two conflates, for every merged
+    place, its producers and consumers with the minimal balanced firing
+    counts, pruning the place afterwards; producers must all come from
+    the left net and consumers from the right one.  The steps run under
+    the trivial semantics, so none of them composes a fold: the merged
+    net's fold is carried once along the total functor, which strict
+    functors compose to the same fold on the nose.
     """
     if left_sem.semantics != right_sem.semantics:
         raise SemanticsMismatchError("nets carry different semantics")
@@ -807,26 +792,25 @@ def boundary_compose(
                 f"{right_place!r}"
             )
 
+    product, _, iota2 = monoidal_product(left_sem, right_sem)
     witness_net = PetriNet(tuple(f"b{i}" for i in range(len(pairing))), ())
-    left = StrictFunctor(
-        witness_net.presentation,
-        left_sem.presentation,
-        {f"b{i}": (lp,) for i, (lp, _) in enumerate(pairing)},
-        {},
-    )
-    right = StrictFunctor(
-        witness_net.presentation,
-        right_sem.presentation,
-        {f"b{i}": (rp,) for i, (_, rp) in enumerate(pairing)},
-        {},
-    )
-    pushout = pushout_glue(left_sem, right_sem, witness_net, left, right)
 
-    current = pushout.net
-    total: StrictFunctor | None = None
+    def pattern(images: list[Word]) -> StrictFunctor:
+        object_map = dict(zip(witness_net.places, images))
+        return StrictFunctor(witness_net.presentation, product.presentation, object_map, {})
+
+    witness = Witness(
+        witness_net,
+        pattern([(lp,) for lp, _ in pairing]),
+        pattern([iota2.map_object(rp) for _, rp in pairing]),
+    )
+    merged, coequalizer = identify(product, witness)
+
+    current = terminal_net(merged.net)
+    total = identity_functor(current.presentation)
     vectors: list[tuple[str, tuple[tuple[str, int], ...]]] = []
-    for i, (left_place, _) in enumerate(pairing):
-        merged_place = pushout.left_leg.map_object(left_place)[0]
+    for left_place, _ in pairing:
+        (merged_place,) = coequalizer.map_object(left_place)
         producers = [
             (t.name, t.post.count(merged_place))
             for t in current.net.transitions
@@ -863,13 +847,11 @@ def boundary_compose(
         current, step = synchronize_transitions(
             current, SyncRecipe(new_name, expression, prune=True), bound
         )
-        total = step if total is None else compose_functors(step, total)
+        total = compose_functors(step, total)
 
-    if total is None:
-        total = identity_functor(current.presentation)
     return BoundaryComposition(
-        net=current,
-        merged=pushout.net,
+        net=NetWithSemantics(current.net, merged.fold.after(total)),
+        merged=merged,
         functor=total,
         firing_vectors=tuple(vectors),
     )

@@ -202,7 +202,7 @@ def _fresh(name: str, taken: set[str]) -> str:
 
 
 def _rename_side(ms: Multiset, renaming: Mapping[str, str]) -> Multiset:
-    return Multiset.from_counts({renaming[n]: ms.count(n) for n in ms.names()})
+    return Multiset.from_counts({renaming[n]: count for n, count in ms.entries})
 
 
 def net_coproduct(m: PetriNet, n: PetriNet) -> tuple[PetriNet, RenameMap, RenameMap]:

@@ -3,7 +3,9 @@
 ``to_diagram`` folds a term recursively, merging copied wire tables at
 every node; ``diagram_equal`` runs joint colour refinement and then a
 backtracking search for a box bijection; ``typecheck`` folds every
-term, a single leaf included.  The tests compare the library's
+term, a single leaf included; ``canonical_key`` encodes each closed
+component by the least walk from every one of its boxes, which is
+quadratic in the component's size.  The tests compare the library's
 iterative builder, canonical key and typing against these.
 """
 from __future__ import annotations
@@ -20,6 +22,7 @@ from petriglue.fssmc import (
     _check_composable,
     _leaf_type,
     _tensor_ends,
+    _walk,
     fold_term,
     invert_perm,
 )
@@ -271,3 +274,18 @@ def diagram_equal(d1: StringDiagram, d2: StringDiagram) -> bool:
         return False
 
     return search(0)
+
+
+def canonical_key(d: StringDiagram) -> tuple:
+    """The canonical key with a walk from every box of a closed component."""
+    starts = (c for c, _ in (*d.drains[-1], *d.results) if c >= 0)
+    _, number, code = _walk(d, d.feeds, starts)
+    outputs = [x for c, k in d.results for x in (number[c], k)]
+    seen = set(number)
+    closed = []
+    for b in range(len(d.boxes)):
+        if b not in seen:
+            component = _walk(d, d.feeds, [b])[0]
+            seen.update(component)
+            closed.append(min(tuple(_walk(d, d.feeds, [s])[2]) for s in component))
+    return d.inputs, d.outputs, tuple(code), tuple(outputs), tuple(sorted(closed))

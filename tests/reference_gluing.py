@@ -21,43 +21,65 @@ the rewrite.
 ``minimal_firing_vector`` tried every split of every flow up to its
 bound before the change-making tables replaced it; the tests require
 equal results from both.
+
+``boundary_compose`` glued the nets with ``pushout_glue`` and then ran
+every synchronization step on a net with semantics, composing the fold
+and the running functor at each step; its event expression spelled out
+the boundary words and the token routing by hand.  The library now
+merges through ``identify`` on the coproduct, synchronizes the bare net
+and carries the fold once along the total functor; the tests require
+equal compositions, or the same error, from both.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 from petriglue import (
+    BoundaryComposition,
+    BoundaryOrientationError,
     Fold,
     FreeFold,
     MorphismGenerator,
     NetWithSemantics,
     PairFold,
     Perm,
+    PetriNet,
     PetriGlueError,
     PreconditionFailedError,
+    SemanticsMismatchError,
     SemanticsObstructionError,
     SmcPresentation,
     SourceMismatchError,
     StrictFunctor,
+    SyncRecipe,
     TerminalFold,
+    UnknownPlaceError,
+    ValidationError,
     WellDefinednessError,
     Witness,
     compose_functors,
     identity_functor,
     merge_two_places,
     net_of_presentation,
+    pushout_glue,
     sem_equal,
+    synchronize_transitions,
 )
+from petriglue import minimal_firing_vector as library_firing_vector
 from petriglue.fssmc import (
+    Gen,
+    Id,
     MorphismTerm,
+    Tensor,
     apply_perm,
     block_permutation,
     compose_terms,
     decomposition,
     identity_perm,
     invert_perm,
+    tensor_terms,
 )
-from petriglue.net_model import Word
+from petriglue.net_model import Word, _fresh
 
 
 def _sequential_merge(
@@ -266,3 +288,163 @@ def minimal_firing_vector(
     counts = {name: count for (name, _), count in zip(producers, best[1])}
     counts.update({name: count for (name, _), count in zip(consumers, best[2])})
     return counts
+
+
+def _synchronization_expression(
+    sig: SmcPresentation,
+    boundary: str,
+    producer_counts: Sequence[tuple[str, int]],
+    consumer_counts: Sequence[tuple[str, int]],
+) -> MorphismTerm:
+    """The conflated event: producers, a canonical routing, consumers."""
+    producer_term = tensor_terms(
+        [Gen(name) for name, count in producer_counts for _ in range(count)]
+    )
+    consumer_term = tensor_terms(
+        [Gen(name) for name, count in consumer_counts for _ in range(count)]
+    )
+    out_word: Word = tuple(
+        letter
+        for name, count in producer_counts
+        for _ in range(count)
+        for letter in sig.morphism(name).cod
+    )
+    need_word: Word = tuple(
+        letter
+        for name, count in consumer_counts
+        for _ in range(count)
+        for letter in sig.morphism(name).dom
+    )
+    out_rest = tuple(letter for letter in out_word if letter != boundary)
+    need_rest = tuple(letter for letter in need_word if letter != boundary)
+
+    stage_in = producer_term if not need_rest else Tensor(producer_term, Id(need_rest))
+    mid_word = out_word + need_rest
+    target_word = need_word + out_rest
+
+    boundary_positions = [i for i, letter in enumerate(out_word) if letter == boundary]
+    rest_positions = [i for i, letter in enumerate(out_word) if letter != boundary]
+    extra_positions = list(range(len(out_word), len(mid_word)))
+    route: list[int] = []
+    take_boundary = iter(boundary_positions)
+    take_extra = iter(extra_positions)
+    take_rest = iter(rest_positions)
+    for letter in need_word:
+        route.append(next(take_boundary) if letter == boundary else next(take_extra))
+    for _ in out_rest:
+        route.append(next(take_rest))
+
+    stage_out = consumer_term if not out_rest else Tensor(consumer_term, Id(out_rest))
+    parts: list[MorphismTerm] = [stage_in]
+    if tuple(route) != identity_perm(len(mid_word)):
+        parts.append(Perm(mid_word, tuple(route)))
+    parts.append(stage_out)
+    assert apply_perm(mid_word, tuple(route)) == target_word
+    return compose_terms(parts)
+
+
+def boundary_compose(
+    left_sem: NetWithSemantics,
+    right_sem: NetWithSemantics,
+    pairing: Sequence[tuple[str, str]],
+    bound: int = 3,
+) -> BoundaryComposition:
+    """The per-step composition: pushout, then one synchronization per
+    merged place, each carrying the fold and the running functor."""
+    if left_sem.semantics != right_sem.semantics:
+        raise SemanticsMismatchError("nets carry different semantics")
+    for side, places in zip(("left", "right"), zip(*pairing)):
+        repeated = [p for i, p in enumerate(places) if p in places[:i]]
+        if repeated:
+            raise ValidationError(f"{side} place {repeated[0]!r} is paired twice")
+    for left_place, right_place in pairing:
+        if left_place not in left_sem.net.places:
+            raise UnknownPlaceError(f"unknown left place {left_place!r}")
+        if right_place not in right_sem.net.places:
+            raise UnknownPlaceError(f"unknown right place {right_place!r}")
+        if left_sem.fold.object_image(left_place) != right_sem.fold.object_image(
+            right_place
+        ):
+            raise SemanticsObstructionError(
+                f"paired places {left_place!r} and {right_place!r} "
+                "carry different semantics"
+            )
+        offenders = [t.name for t in left_sem.net.transitions if left_place in t.pre]
+        if offenders:
+            raise BoundaryOrientationError(
+                f"left transitions {offenders} consume from boundary place "
+                f"{left_place!r}"
+            )
+        offenders = [t.name for t in right_sem.net.transitions if right_place in t.post]
+        if offenders:
+            raise BoundaryOrientationError(
+                f"right transitions {offenders} produce on boundary place "
+                f"{right_place!r}"
+            )
+
+    witness_net = PetriNet(tuple(f"b{i}" for i in range(len(pairing))), ())
+    left = StrictFunctor(
+        witness_net.presentation,
+        left_sem.presentation,
+        {f"b{i}": (lp,) for i, (lp, _) in enumerate(pairing)},
+        {},
+    )
+    right = StrictFunctor(
+        witness_net.presentation,
+        right_sem.presentation,
+        {f"b{i}": (rp,) for i, (_, rp) in enumerate(pairing)},
+        {},
+    )
+    pushout = pushout_glue(left_sem, right_sem, witness_net, left, right)
+
+    current = pushout.net
+    total: StrictFunctor | None = None
+    vectors: list[tuple[str, tuple[tuple[str, int], ...]]] = []
+    for left_place, _ in pairing:
+        merged_place = pushout.left_leg.map_object(left_place)[0]
+        producers = [
+            (t.name, t.post.count(merged_place))
+            for t in current.net.transitions
+            if merged_place in t.post
+        ]
+        consumers = [
+            (t.name, t.pre.count(merged_place))
+            for t in current.net.transitions
+            if merged_place in t.pre
+        ]
+        if not producers or not consumers:
+            raise BoundaryOrientationError(
+                f"merged place {merged_place!r} lacks a producer or a consumer"
+            )
+        both = {name for name, _ in producers} & {name for name, _ in consumers}
+        if both:
+            raise BoundaryOrientationError(
+                f"transitions {sorted(both)} both produce and consume on "
+                f"{merged_place!r}"
+            )
+        counts = library_firing_vector(producers, consumers)
+        vectors.append((merged_place, tuple(sorted(counts.items()))))
+        expression = _synchronization_expression(
+            current.presentation,
+            merged_place,
+            [(name, counts[name]) for name, _ in producers],
+            [(name, counts[name]) for name, _ in consumers],
+        )
+        new_name = "+".join(
+            f"{name}*{counts[name]}" if counts[name] > 1 else name
+            for name, _ in producers + consumers
+        )
+        new_name = _fresh(new_name, {t.name for t in current.net.transitions})
+        current, step = synchronize_transitions(
+            current, SyncRecipe(new_name, expression, prune=True), bound
+        )
+        total = step if total is None else compose_functors(step, total)
+
+    if total is None:
+        total = identity_functor(current.presentation)
+    return BoundaryComposition(
+        net=current,
+        merged=pushout.net,
+        functor=total,
+        firing_vectors=tuple(vectors),
+    )

@@ -1,8 +1,10 @@
-"""The benchmark harness still drives the library: one op of each kind.
+"""The benchmark harness still drives the library.
 
-``perfbench/run.py`` is loaded as it is, its seed-1 ops are built, and
-the first op of every kind is run and judged by the harness's own check,
-so a change to the library's API that the harness relies on fails here.
+``perfbench/run.py`` is loaded as it is and its seed-1 ops are built.
+The first op of every kind is run and judged by the harness's own
+check, so a change to the library's API that the harness relies on
+fails here.  Every compose op is judged too, so a boundary composition
+that the harness's independent model disagrees with fails here as well.
 """
 from __future__ import annotations
 
@@ -51,3 +53,12 @@ def test_first_op_of_each_kind_passes_its_check(harness, workload, tmp_path):
     for kind in KINDS[workload]:
         op = first[kind]
         assert op.check(op.run()) == [], kind
+
+
+def test_every_compose_op_passes_its_check(harness):
+    pg = harness.import_program()
+    ops, _ = harness.build_ops(pg, "compose", harness.make_specs("compose", 1))
+    assert {op.kind for op in ops} == {"pair", "fig8a"}
+    assert len(ops) == 101
+    for op in ops:
+        assert op.check(op.run()) == [], op.kind

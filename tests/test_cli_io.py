@@ -1,6 +1,7 @@
 """Documents, term expressions, DOT export and the command line."""
 from __future__ import annotations
 
+import copy
 import io
 import json
 import os
@@ -744,6 +745,85 @@ class TestMutatedDocuments:
         if codes[0] == 0:
             canonical = serialize_net(parse_net(text))
             assert serialize_net(parse_net(canonical)) == canonical
+
+
+FIG1 = json.loads((FIXTURES / "fig1.json").read_text())
+
+#: Documents the multi-document commands read besides the fixtures: a
+#: one-place witness with its two maps onto fig8a's ``C``, fig1's
+#: identity functor, and the identity of fig1's semantics as a change of
+#: semantics.
+WRITTEN_DOCUMENTS = {
+    "witness-o.json": {"places": ["o"], "transitions": []},
+    "o-to-left-C.json": {"objects": {"o": ["C"]}, "morphisms": {}},
+    "o-to-right-C.json": {"objects": {"o": ["C"]}, "morphisms": {}},
+    "fig1-identity.json": {
+        "objects": {p: [p] for p in FIG1["places"]},
+        "morphisms": {t["name"]: f"gen({t['name']})" for t in FIG1["transitions"]},
+    },
+    "fig1-semantics-identity.json": {
+        "semantics": FIG1["semantics"],
+        "objects": {o: [o] for o in FIG1["semantics"]["objects"]},
+        "morphisms": {
+            m["name"]: f"gen({m['name']})" for m in FIG1["semantics"]["morphisms"]
+        },
+    },
+}
+
+#: Commands that read several documents; every ``*.json`` argument is a
+#: document, taken from ``WRITTEN_DOCUMENTS`` or the fixtures.
+MULTI_DOCUMENT_COMMANDS = {
+    **{
+        f"identify-{kind}": ["identify", "fig5a.json", "--witness", f"witness-fig5a-{kind}.json"]
+        for kind in ("places", "transitions")
+    },
+    **{
+        f"sync-{recipe}": ["sync", "fig1.json", "--recipe", f"recipe-{recipe}.json"]
+        for recipe in ("gk", "gk-prune")
+    },
+    "coproduct": ["coproduct", "fig8a-left.json", "fig8a-right.json"],
+    "compose": ["compose", "fig8a-left.json", "fig8a-right.json", "--pair", "C=C"],
+    "pushout": ["pushout", "fig8a-left.json", "fig8a-right.json", "--witness",
+                "witness-o.json", "--l", "o-to-left-C.json", "--r", "o-to-right-C.json"],
+    "check-functor": ["check-functor", "fig1-identity.json", "--src", "fig1.json",
+                      "--tgt", "fig1.json", "--faithful-bound", "2"],
+    "transport": ["transport", "fig1.json", "--functor", "fig1-semantics-identity.json"],
+}
+
+
+class TestMutatedMultiDocumentCommands:
+    """The same mutations, spread over every document a command reads:
+    each run ends in exit 0, 1 or 2, never a traceback, and every net a
+    run accepts and prints is canonical."""
+
+    @pytest.mark.parametrize("command", sorted(MULTI_DOCUMENT_COMMANDS))
+    @settings(
+        max_examples=40,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_command_ends_cleanly(self, tmp_path_factory, command, data):
+        argv = MULTI_DOCUMENT_COMMANDS[command]
+        docs = copy.deepcopy({
+            arg: WRITTEN_DOCUMENTS.get(arg) or json.loads((FIXTURES / arg).read_text())
+            for arg in argv
+            if arg.endswith(".json")
+        })
+        for _ in range(data.draw(st.integers(1, 3))):
+            name = data.draw(st.sampled_from(sorted(docs)))
+            docs[name] = _mutate(docs[name], data)
+        work = tmp_path_factory.mktemp("mutated")
+        for name, doc in docs.items():
+            (work / name).write_text(json.dumps(doc))
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main([str(work / arg) if arg in docs else arg for arg in argv])
+        assert code in (0, 1, 2)
+        if code == 0 and command != "check-functor":
+            text = out.getvalue()
+            assert serialize_net(parse_net(text)) == text
 
 
 class TestRandomDocumentRoundTrip:

@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+import petriglue.fssmc
 import reference_fssmc as reference
 from petriglue import (
     Compose,
@@ -250,3 +251,77 @@ def test_closed_components_on_random_pairs():
                 small += 1
         closed += len(diagram_key(d1)[-1]) > 0
     assert closed >= 60 and small >= 200
+
+
+def renumbered(rng: random.Random, d: StringDiagram) -> StringDiagram:
+    """``d`` with its boxes numbered in a random order: an isomorphic copy."""
+    order = list(range(len(d.boxes)))
+    rng.shuffle(order)
+    new = {old: i for i, old in enumerate(order)} | {-1: -1}
+
+    def moved(row):
+        return tuple((new[b], k) for b, k in row)
+
+    return StringDiagram(
+        boxes=tuple(d.boxes[b] for b in order),
+        box_doms=tuple(d.box_doms[b] for b in order),
+        box_cods=tuple(d.box_cods[b] for b in order),
+        inputs=d.inputs,
+        outputs=d.outputs,
+        feeds=tuple(moved(d.feeds[b]) for b in order),
+        results=moved(d.results),
+    )
+
+
+def test_closed_components_against_the_walk_from_every_box():
+    """Walks start from the rarest label of a closed component only; the
+    key the walk from every box gives must decide the same, on renumbered,
+    perturbed and unrelated copies."""
+    rng = random.Random(79)
+    closed = small = unequal = 0
+    for _ in range(300):
+        d1 = to_diagram(random_term(rng, CLOSED_SIG, rng.randint(2, 12)), CLOSED_SIG)
+        copy = renumbered(rng, d1)
+        copy.validate()
+        assert diagram_equal(d1, copy)
+        others = [copy, perturbed(rng, copy),
+                  to_diagram(random_term(rng, CLOSED_SIG, 6), CLOSED_SIG)]
+        for d2 in filter(None, others):
+            verdict = diagram_equal(d1, d2)
+            assert verdict == (reference.canonical_key(d1) == reference.canonical_key(d2))
+            if len(d1.boxes) <= 6 and len(d2.boxes) <= 6:
+                assert verdict == brute_force_equal(d1, d2)
+                small += 1
+            unequal += not verdict
+        closed += len(diagram_key(d1)[-1]) > 0
+    assert closed >= 80 and small >= 100 and unequal >= 200
+
+
+CHAIN_SIG = SmcPresentation(
+    ("A",),
+    (
+        MorphismGenerator("s", (), ("A",)),
+        MorphismGenerator("f", ("A",), ("A",)),
+        MorphismGenerator("k", ("A",), ()),
+    ),
+)
+
+
+def test_closed_chain_keys_with_three_walks(monkeypatch):
+    """The closed chain ``s ; f^1000 ; k`` starts one walk from the least
+    of its two rarest labels, after the interface walk and the walk that
+    finds the component."""
+    n = 1000
+    d = to_diagram(compose_terms([Gen("s")] + [Gen("f")] * n + [Gen("k")]), CHAIN_SIG)
+    walk = petriglue.fssmc._walk
+    calls = [0]
+
+    def counting_walk(*args):
+        calls[0] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(petriglue.fssmc, "_walk", counting_walk)
+    key = diagram_key(d)
+    assert calls[0] <= 3
+    assert len(key[-1]) == 1
+    assert key[-1][0][0] == ("k", 1, 0)

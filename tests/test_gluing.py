@@ -67,6 +67,7 @@ import petriglue.gluing
 from petriglue.cli_io import parse_net, parse_witness
 from petriglue.fssmc import apply_perm, identity_perm
 import reference_functors
+import reference_gluing
 from reference_gluing import _sequential_merge, identify_by_merges
 from reference_gluing import factor_fold_through_coequalizer as reference_factor_fold
 from reference_gluing import minimal_firing_vector as reference_firing_vector
@@ -77,6 +78,7 @@ from support import (
     fig8a_nets,
     net,
     o_n_witness_functor,
+    outcome,
     random_net,
     random_tp_pair,
 )
@@ -1423,3 +1425,174 @@ class TestMultiBoundaryComposition:
         )
         with pytest.raises(BoundaryOrientationError):
             boundary_compose(left_sem, right_sem, [("P", "P"), ("Q", "Q")])
+
+
+def random_compose_pair(
+    rng: random.Random,
+) -> tuple[NetWithSemantics, NetWithSemantics, list[tuple[str, str]]]:
+    """Left producers and right consumers on one to three paired places.
+
+    Each boundary place gets one or two producers and consumers, now and
+    then none, and some of them touch a second boundary place; a few
+    transitions of either side stay inside.  Right names sometimes
+    collide with left ones, so the coproduct primes them, and a left
+    transition may consume from, or a right one produce on, a boundary
+    place.  Places go to words of zero to two letters, paired ones to
+    the same word but now and then not; transitions go to their own
+    generators, some behind an input symmetry.  The semantics is free,
+    terminal, or the product of the two.
+    """
+    k = rng.randint(1, 3)
+    boundary = [f"P{i}" for i in range(k)]
+    right_boundary = [p if rng.random() < 0.6 else f"Q{i}" for i, p in enumerate(boundary)]
+    left_inner = [f"I{i}" for i in range(rng.randint(0, 2))]
+    right_inner = [
+        rng.choice(("I0", "O0")) if i == 0 else f"O{i}" for i in range(rng.randint(0, 2))
+    ]
+
+    def side(places, inner, ends, producing, prefix):
+        pairs = []
+        for end in ends:
+            amount = rng.choice((0, 1, 1, 1, 2)) if rng.random() < 0.1 else rng.choice((1, 1, 2))
+            for _ in range(amount):
+                own = {p: rng.randint(1, 2) for p in inner if rng.random() < 0.4}
+                edge = {end: rng.choice((1, 1, 2, 3))}
+                if rng.random() < 0.15:
+                    edge[rng.choice(ends)] = 1
+                pairs.append((own, edge) if producing else (edge, own))
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            pairs.append(tuple(
+                {p: rng.randint(1, 2) for p in inner if rng.random() < 0.4} for _ in "io"
+            ))
+        if rng.random() < 0.05:
+            wrong = {rng.choice(ends): 1}
+            pairs.append((wrong, {}) if producing else ({}, wrong))
+        rng.shuffle(pairs)
+        return net(places, [(f"{prefix}{i}", pre, post) for i, (pre, post) in enumerate(pairs)])
+
+    nets = {
+        "l": side(left_inner + boundary, left_inner, boundary, True, "p"),
+        "r": side(right_boundary + right_inner, right_inner, right_boundary, False,
+                  rng.choice("cp")),
+    }
+    letters = ("X", "Y", "Z")
+    images = {
+        (tag, p): tuple(rng.choice(letters) for _ in range(rng.choice((0, 1, 1, 1, 2, 2))))
+        for tag, n in nets.items()
+        for p in n.places
+    }
+    for lp, rp in zip(boundary, right_boundary):
+        if rng.random() < 0.95:
+            images["r", rp] = images["l", lp]
+    generators = []
+    maps = {}
+    for tag, n in nets.items():
+        morphism_map = {}
+        for gen in n.presentation.morphisms:
+            dom = tuple(x for p in gen.dom for x in images[tag, p])
+            cod = tuple(x for p in gen.cod for x in images[tag, p])
+            perm = list(range(len(dom)))
+            rng.shuffle(perm)
+            generators.append(MorphismGenerator(tag + gen.name, apply_perm(dom, perm), cod))
+            morphism_map[gen.name] = Gen(tag + gen.name)
+            if perm != sorted(perm):
+                morphism_map[gen.name] = Compose(Perm(dom, tuple(perm)), Gen(tag + gen.name))
+        maps[tag] = ({p: images[tag, p] for p in n.places}, morphism_map)
+    semantics = SmcPresentation(letters, tuple(generators))
+    kind = rng.choice(("free", "free", "free", "terminal", "product"))
+
+    def with_semantics(tag):
+        n = nets[tag]
+        free = FreeFold(StrictFunctor(n.presentation, semantics, *maps[tag]))
+        terminal = TerminalFold(n.presentation)
+        fold = {"free": free, "terminal": terminal, "product": PairFold(free, terminal)}[kind]
+        return NetWithSemantics(n, fold)
+
+    return with_semantics("l"), with_semantics("r"), list(zip(boundary, right_boundary))
+
+
+def collapsing_split_pair() -> tuple[NetWithSemantics, NetWithSemantics]:
+    """The split event of :func:`split_event_pair` with ``d: B ->`` and a
+    source ``u: -> A2``: the sequences ``u t t`` and ``t u t`` differ only
+    by which event ``u`` feeds, and their images are the same."""
+    places = ("A", "A2", "B", "X")
+    steps = [("p", {"A": 1}, {"B": 1}), ("q", {"A2": 1}, {"B": 1}), ("u", {}, {"A2": 1}),
+             ("c", {"B": 1}, {"X": 1}), ("d", {"B": 1}, {})]
+    sides = [net(("A", "A2", "B"), steps[:3]), net(("B", "X"), steps[3:])]
+    semantics = SmcPresentation(
+        places, tuple(gen for n in sides for gen in n.presentation.morphisms)
+    )
+    return tuple(
+        NetWithSemantics(n, FreeFold(StrictFunctor(
+            n.presentation, semantics, {x: (x,) for x in n.places},
+            {t.name: Gen(t.name) for t in n.transitions},
+        )))
+        for n in sides
+    )
+
+
+class TestBoundaryComposeAgainstPerStepOracle:
+    """The one-pass composition against the per-step one it replaced:
+    equal compositions with byte-identical serialized nets, or the same
+    error class and message."""
+
+    def fixed_cases(self):
+        yield (*fig8a_nets(), [("C", "C")])
+        yield k_boundary_pair(3)
+        yield (*split_event_pair(), [("B", "B")])
+        yield (*collapsing_split_pair(), [("B", "B")])
+        yield (*fig8a_nets(), [])
+
+    def test_matches_per_step_composition(self):
+        rng = random.Random(83)
+        cases = list(self.fixed_cases())
+        cases += [random_compose_pair(rng) for _ in range(220)]
+        seen = set()
+        for left, right, pairing in cases:
+            new = outcome(boundary_compose, left, right, pairing)
+            old = outcome(reference_gluing.boundary_compose, left, right, pairing)
+            assert new == old
+            if isinstance(new, tuple):
+                seen.add(new[0])
+                continue
+            assert serialize_net(new.net) == serialize_net(old.net)
+            assert serialize_net(new.merged) == serialize_net(old.merged)
+            shape = type(new.net.fold).__name__
+            seen.add((shape, len(pairing)))
+            if shape == "FreeFold" and any(
+                len(word) > 1 for word in new.net.fold.functor.object_map.values()
+            ):
+                seen.add("multi-letter")
+        assert {
+            BoundaryOrientationError, SemanticsObstructionError, VerdictFailedError,
+            "multi-letter", ("FreeFold", 0), ("PairFold", 2), ("TerminalFold", 3),
+        } | {("FreeFold", k) for k in (1, 2, 3)} <= seen
+
+
+class TestBoundaryComposeFunctorCount:
+    """The steps compose only the running functor, and the fold is carried
+    along it once."""
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_k_plus_one_compositions(self, monkeypatch, k):
+        original = petriglue.functors.compose_functors
+        calls = {"compose": 0, "after": 0}
+
+        def counting_compose(*args):
+            calls["compose"] += 1
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("petriglue") and getattr(module, "compose_functors", None) is original:
+                monkeypatch.setattr(module, "compose_functors", counting_compose)
+        after = FreeFold.after
+
+        def counting_after(self, functor):
+            calls["after"] += 1
+            return after(self, functor)
+
+        monkeypatch.setattr(FreeFold, "after", counting_after)
+        left, right, pairing = k_boundary_pair(k)
+        result = boundary_compose(left, right, pairing)
+        assert calls == {"compose": k + 1, "after": 1}
+        assert len(result.net.net.transitions) == k
