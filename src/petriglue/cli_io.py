@@ -325,6 +325,12 @@ def _parse_semantics(doc: Any, depth: int) -> SemanticsHandle:
                 "their word problem is undecidable"
             )
         objects = _names(doc, "objects", "semantics")
+        for name in objects:
+            if not re.fullmatch(_NAME, name):
+                raise ValidationError(
+                    f"semantics: object name {name!r} is not a term NAME: it must be "
+                    "nonempty, without whitespace or any of ()[],"
+                )
         morphisms = []
         for i, mdoc in enumerate(_require(doc, "morphisms", list, "semantics")):
             morphisms.append(

@@ -4,7 +4,8 @@ Synchronizations conflate transitions into single events whose meaning
 is the composite of the parts; identifications merge places and
 transitions that carry equal semantics, computed as coequalizers of
 transition-preserving functors.  Coproducts, pushout gluing and
-two-stage boundary composition are derived from those two primitives.
+two-stage boundary composition are derived from those two primitives;
+a coproduct's injections are the renaming functors of its summands.
 
 Quotient classes are named by their order-minimal member, and every
 sorting symmetry introduced when words are re-linearized is
@@ -68,8 +69,6 @@ from .net_model import (
     SmcPresentation,
     Transition,
     Word,
-    _fresh,
-    net_coproduct,
     net_of_presentation,
     prune_isolated_places,
 )
@@ -534,6 +533,52 @@ def identify(
 # ---------------------------------------------------------------------------
 # Coproducts and gluing between nets
 
+def _fresh(name: str, taken: set[str]) -> str:
+    """Prime ``name`` until it is not in ``taken``, then record it there."""
+    while name in taken:
+        name = name + "'"
+    taken.add(name)
+    return name
+
+
+def net_coproduct(
+    m: PetriNet, n: PetriNet
+) -> tuple[PetriNet, StrictFunctor, StrictFunctor]:
+    """Disjoint union of nets; colliding names on the right gain a prime.
+
+    The place order is m's order followed by n's.  The injections are the
+    renaming functors from each summand's presentation into the
+    coproduct's: each place goes to one place and each transition to the
+    ``Gen`` of one transition, and together they are jointly surjective.
+    """
+    taken = set(m.places)
+    place_map = {p: _fresh(p, taken) for p in n.places}
+    taken = {t.name for t in m.transitions}
+    name_map = {t.name: _fresh(t.name, taken) for t in n.transitions}
+
+    def rename(ms: Multiset) -> Multiset:
+        return Multiset.from_counts({place_map[p]: count for p, count in ms.entries})
+
+    net = PetriNet(
+        tuple(m.places) + tuple(place_map.values()),
+        tuple(m.transitions)
+        + tuple(Transition(name_map[t.name], rename(t.pre), rename(t.post)) for t in n.transitions),
+    )
+    iota1, iota2 = (
+        StrictFunctor(
+            source=summand.presentation,
+            target=net.presentation,
+            object_map={old: (new,) for old, new in places.items()},
+            morphism_map={old: Gen(new) for old, new in names.items()},
+        )
+        for summand, places, names in (
+            (m, {p: p for p in m.places}, {t.name: t.name for t in m.transitions}),
+            (n, place_map, name_map),
+        )
+    )
+    return net, iota1, iota2
+
+
 def _copair_folds(
     left: Fold, right: Fold, iota1: StrictFunctor, iota2: StrictFunctor
 ) -> Fold:
@@ -565,16 +610,7 @@ def monoidal_product(
     """Place two nets side by side; the fold is the copairing."""
     if m_sem.semantics != n_sem.semantics:
         raise SemanticsMismatchError("nets carry different semantics")
-    coproduct, rename1, rename2 = net_coproduct(m_sem.net, n_sem.net)
-    iota1, iota2 = (
-        StrictFunctor(
-            source=summand.presentation,
-            target=coproduct.presentation,
-            object_map={old: (new,) for old, new in rename.places},
-            morphism_map={old: Gen(new) for old, new in rename.transitions},
-        )
-        for summand, rename in ((m_sem, rename1), (n_sem, rename2))
-    )
+    coproduct, iota1, iota2 = net_coproduct(m_sem.net, n_sem.net)
     fold = _copair_folds(m_sem.fold, n_sem.fold, iota1, iota2)
     return NetWithSemantics(coproduct, fold), iota1, iota2
 

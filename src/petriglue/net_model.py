@@ -2,7 +2,8 @@
 
 The declaration order of ``places`` is the well-order used everywhere a
 multiset has to be linearized into a word.  All values are immutable;
-every operation is a pure function.
+every operation is a pure function.  Constructions whose maps are
+functors, the coproduct among them, live in :mod:`petriglue.gluing`.
 """
 from __future__ import annotations
 
@@ -179,66 +180,6 @@ def net_of_presentation(sig: SmcPresentation) -> PetriNet:
         for m in sig.morphisms
     )
     return PetriNet(sig.objects, transitions)
-
-
-@dataclass(frozen=True)
-class RenameMap:
-    """Injection of one coproduct summand: old name -> new name."""
-
-    places: tuple[tuple[str, str], ...]
-    transitions: tuple[tuple[str, str], ...]
-
-    def place(self, name: str) -> str:
-        return dict(self.places)[name]
-
-    def transition(self, name: str) -> str:
-        return dict(self.transitions)[name]
-
-
-def _fresh(name: str, taken: set[str]) -> str:
-    while name in taken:
-        name = name + "'"
-    return name
-
-
-def _rename_side(ms: Multiset, renaming: Mapping[str, str]) -> Multiset:
-    return Multiset.from_counts({renaming[n]: count for n, count in ms.entries})
-
-
-def net_coproduct(m: PetriNet, n: PetriNet) -> tuple[PetriNet, RenameMap, RenameMap]:
-    """Disjoint union of nets; colliding names on the right gain a prime.
-
-    The place order is m's order followed by n's.  The returned rename
-    maps record both injections and are jointly surjective.
-    """
-    place_map_m = {p: p for p in m.places}
-    taken = set(m.places)
-    place_map_n: dict[str, str] = {}
-    for p in n.places:
-        fresh = _fresh(p, taken)
-        place_map_n[p] = fresh
-        taken.add(fresh)
-
-    trans_map_m = {t.name: t.name for t in m.transitions}
-    taken_t = {t.name for t in m.transitions}
-    trans_map_n: dict[str, str] = {}
-    for t in n.transitions:
-        fresh = _fresh(t.name, taken_t)
-        trans_map_n[t.name] = fresh
-        taken_t.add(fresh)
-
-    places = tuple(m.places) + tuple(place_map_n[p] for p in n.places)
-    transitions = tuple(m.transitions) + tuple(
-        Transition(trans_map_n[t.name], _rename_side(t.pre, place_map_n), _rename_side(t.post, place_map_n))
-        for t in n.transitions
-    )
-    net = PetriNet(places, transitions)
-    iota1 = RenameMap(tuple(place_map_m.items()), tuple(trans_map_m.items()))
-    iota2 = RenameMap(
-        tuple((p, place_map_n[p]) for p in n.places),
-        tuple((t.name, trans_map_n[t.name]) for t in n.transitions),
-    )
-    return net, iota1, iota2
 
 
 def prune_isolated_places(net: PetriNet) -> tuple[PetriNet, tuple[str, ...]]:

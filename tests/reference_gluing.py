@@ -29,10 +29,17 @@ the boundary words and the token routing by hand.  The library now
 merges through ``identify`` on the coproduct, synchronizes the bare net
 and carries the fold once along the total functor; the tests require
 equal compositions, or the same error, from both.
+
+``net_coproduct`` returned its injections as ``RenameMap`` name tables,
+and ``monoidal_product`` turned those into renaming functors before it
+copaired the folds.  The library's coproduct now builds the functors
+itself; the tests require equal nets, injections and folds, or the same
+error, from both.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from petriglue import (
     BoundaryComposition,
@@ -79,7 +86,7 @@ from petriglue.fssmc import (
     invert_perm,
     tensor_terms,
 )
-from petriglue.net_model import Word, _fresh
+from petriglue.net_model import Multiset, Transition, Word
 
 
 def _sequential_merge(
@@ -448,3 +455,101 @@ def boundary_compose(
         functor=total,
         firing_vectors=tuple(vectors),
     )
+
+
+@dataclass(frozen=True)
+class RenameMap:
+    """Injection of one coproduct summand: old name -> new name."""
+
+    places: tuple[tuple[str, str], ...]
+    transitions: tuple[tuple[str, str], ...]
+
+    def place(self, name: str) -> str:
+        return dict(self.places)[name]
+
+    def transition(self, name: str) -> str:
+        return dict(self.transitions)[name]
+
+
+def _fresh(name: str, taken: set[str]) -> str:
+    while name in taken:
+        name = name + "'"
+    return name
+
+
+def _rename_side(ms: Multiset, renaming: Mapping[str, str]) -> Multiset:
+    return Multiset.from_counts({renaming[n]: count for n, count in ms.entries})
+
+
+def net_coproduct(m: PetriNet, n: PetriNet) -> tuple[PetriNet, RenameMap, RenameMap]:
+    """Disjoint union of nets; colliding names on the right gain a prime."""
+    place_map_m = {p: p for p in m.places}
+    taken = set(m.places)
+    place_map_n: dict[str, str] = {}
+    for p in n.places:
+        fresh = _fresh(p, taken)
+        place_map_n[p] = fresh
+        taken.add(fresh)
+
+    trans_map_m = {t.name: t.name for t in m.transitions}
+    taken_t = {t.name for t in m.transitions}
+    trans_map_n: dict[str, str] = {}
+    for t in n.transitions:
+        fresh = _fresh(t.name, taken_t)
+        trans_map_n[t.name] = fresh
+        taken_t.add(fresh)
+
+    places = tuple(m.places) + tuple(place_map_n[p] for p in n.places)
+    transitions = tuple(m.transitions) + tuple(
+        Transition(trans_map_n[t.name], _rename_side(t.pre, place_map_n), _rename_side(t.post, place_map_n))
+        for t in n.transitions
+    )
+    net = PetriNet(places, transitions)
+    iota1 = RenameMap(tuple(place_map_m.items()), tuple(trans_map_m.items()))
+    iota2 = RenameMap(
+        tuple((p, place_map_n[p]) for p in n.places),
+        tuple((t.name, trans_map_n[t.name]) for t in n.transitions),
+    )
+    return net, iota1, iota2
+
+
+def _copair_folds(
+    left: Fold, right: Fold, iota1: StrictFunctor, iota2: StrictFunctor
+) -> Fold:
+    """Copair two folds along the coproduct injections ``iota1``, ``iota2``."""
+    coproduct = iota1.target
+    if isinstance(left, TerminalFold):
+        return TerminalFold(coproduct)
+    if isinstance(left, PairFold):
+        return PairFold(
+            _copair_folds(left.left, right.left, iota1, iota2),
+            _copair_folds(left.right, right.right, iota1, iota2),
+        )
+    object_map: dict[str, Word] = {}
+    morphism_map: dict[str, MorphismTerm] = {}
+    for iota, fold in ((iota1, left), (iota2, right)):
+        for old, (new,) in iota.object_map.items():
+            object_map[new] = fold.functor.object_map[old]
+        for old, image in iota.morphism_map.items():
+            morphism_map[image.name] = fold.functor.morphism_map[old]
+    return FreeFold(StrictFunctor(coproduct, left.functor.target, object_map, morphism_map))
+
+
+def monoidal_product(
+    m_sem: NetWithSemantics, n_sem: NetWithSemantics
+) -> tuple[NetWithSemantics, StrictFunctor, StrictFunctor]:
+    """Place two nets side by side; the fold is the copairing."""
+    if m_sem.semantics != n_sem.semantics:
+        raise SemanticsMismatchError("nets carry different semantics")
+    coproduct, rename1, rename2 = net_coproduct(m_sem.net, n_sem.net)
+    iota1, iota2 = (
+        StrictFunctor(
+            source=summand.presentation,
+            target=coproduct.presentation,
+            object_map={old: (new,) for old, new in rename.places},
+            morphism_map={old: Gen(new) for old, new in rename.transitions},
+        )
+        for summand, rename in ((m_sem, rename1), (n_sem, rename2))
+    )
+    fold = _copair_folds(m_sem.fold, n_sem.fold, iota1, iota2)
+    return NetWithSemantics(coproduct, fold), iota1, iota2

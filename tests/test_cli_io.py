@@ -716,6 +716,58 @@ class TestDeeplyNestedDocuments:
             assert serialize_net(parse_net(canonical)) == canonical
 
 
+def _fig8a_with_object(tmp_path, name):
+    """fig8a's two documents with semantics object ``B`` renamed to ``name``
+    in the semantics and the folds; the places keep their names."""
+
+    def renamed(word):
+        return [name if letter == "B" else letter for letter in word]
+
+    paths = []
+    for side in ("left", "right"):
+        doc = json.loads((FIXTURES / f"fig8a-{side}.json").read_text())
+        semantics = doc["semantics"]
+        semantics["objects"] = renamed(semantics["objects"])
+        for m in semantics["morphisms"]:
+            m["dom"], m["cod"] = renamed(m["dom"]), renamed(m["cod"])
+        objects = doc["fold"]["objects"]
+        objects.update({place: renamed(word) for place, word in objects.items()})
+        path = tmp_path / f"{side}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    return paths
+
+
+class TestObjectNames:
+    """Semantics object names are written into ``id`` and ``perm`` text, so
+    one that the term grammar cannot read back as a NAME is rejected."""
+
+    @pytest.mark.parametrize("name", ["b b", "b,b", "b)", "[b]", "b\tb", ""])
+    def test_rejected_by_validate_and_compose(self, tmp_path, capsys, name):
+        left, right = _fig8a_with_object(tmp_path, name)
+        assert main(["validate", left]) == 2
+        assert main(["compose", left, right, "--pair", "C=C"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(repr(name) in line for line in err)
+
+    @pytest.mark.parametrize("name", ["b b", ""])
+    def test_rejected_inside_products(self, name):
+        free = {"backend": "free", "objects": ["A", name], "morphisms": []}
+        with pytest.raises(ValidationError, match="object name"):
+            parse_semantics(
+                {"backend": "product", "left": {"backend": "terminal"}, "right": free}
+            )
+
+    def test_primed_name_accepted(self, tmp_path, capsys):
+        left, right = _fig8a_with_object(tmp_path, "C'")
+        out = tmp_path / "composed.json"
+        assert main(["validate", left]) == 0
+        assert main(["compose", left, right, "--pair", "C=C", "--out", str(out)]) == 0
+        assert main(["validate", str(out)]) == 0
+        assert "C'" in json.loads(out.read_text())["semantics"]["objects"]
+
+
 class TestMutatedDocuments:
     """Fixture documents with junk values, deleted keys and added keys:
     ``validate``, ``dot`` and ``freecat`` end alike, in success or a

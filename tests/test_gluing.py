@@ -52,6 +52,7 @@ from petriglue import (
     merge_two_places,
     minimal_firing_vector,
     monoidal_product,
+    net_coproduct,
     net_of_presentation,
     presentations_isomorphic,
     pushout_glue,
@@ -849,6 +850,100 @@ class TestMonoidalProduct:
         assert commutes_with_semantics(iota2, n, product)
         text = serialize_net(product)
         assert serialize_net(parse_net(text)) == text
+
+
+def _random_coproduct_pair(rng: random.Random) -> tuple[NetWithSemantics, NetWithSemantics]:
+    """Two nets over one pool of names, some already primed, so the right
+    net's places and transitions often collide with the left's; either
+    net may be empty.  Places go to words of zero to two letters and
+    transitions to their own generators, some behind an input symmetry.
+    The semantics is free, terminal or their product, and now and then
+    differs between the two nets."""
+    nets = []
+    for _ in range(2):
+        places = [p for p in ("A", "A'", "B", "C") if rng.random() < 0.6]
+        names = [t for t in ("t", "t'", "u") if rng.random() < 0.5]
+        if rng.random() < 0.1:
+            places, names = [], []
+        rng.shuffle(places)
+        nets.append(net(places, [
+            (name, *({p: rng.randint(1, 2) for p in places if rng.random() < 0.4} for _ in "io"))
+            for name in names
+        ]))
+    letters = ("X", "Y")
+    generators = []
+    maps = []
+    for tag, n in zip("lr", nets):
+        images = {p: tuple(rng.choice(letters) for _ in range(rng.randint(0, 2))) for p in n.places}
+        morphism_map = {}
+        for gen in n.presentation.morphisms:
+            dom = tuple(x for p in gen.dom for x in images[p])
+            cod = tuple(x for p in gen.cod for x in images[p])
+            perm = list(range(len(dom)))
+            rng.shuffle(perm)
+            generators.append(MorphismGenerator(tag + gen.name, apply_perm(dom, perm), cod))
+            morphism_map[gen.name] = Gen(tag + gen.name)
+            if perm != sorted(perm):
+                morphism_map[gen.name] = Compose(Perm(dom, tuple(perm)), Gen(tag + gen.name))
+        maps.append((images, morphism_map))
+    kinds = ("free", "free", "terminal", "product")
+    kind = rng.choice(kinds)
+    right_kind = rng.choice(kinds) if rng.random() < 0.15 else kind
+    semantics = SmcPresentation(letters, tuple(generators))
+
+    def with_semantics(n, images_and_map, kind, target):
+        free = FreeFold(StrictFunctor(n.presentation, target, *images_and_map))
+        terminal = TerminalFold(n.presentation)
+        fold = {"free": free, "terminal": terminal, "product": PairFold(free, terminal)}[kind]
+        return NetWithSemantics(n, fold)
+
+    # A right semantics with one more object also differs from the left one.
+    right_target = semantics
+    if right_kind == kind and rng.random() < 0.05:
+        right_target = SmcPresentation(letters + ("Z",), semantics.morphisms)
+    return (
+        with_semantics(nets[0], maps[0], kind, semantics),
+        with_semantics(nets[1], maps[1], right_kind, right_target),
+    )
+
+
+class TestCoproductAgainstReference:
+    """``net_coproduct`` and ``monoidal_product`` against the coproduct that
+    returned its injections as name tables (``reference_gluing``)."""
+
+    def test_random_pairs(self):
+        rng = random.Random(73)
+        seen = dict.fromkeys(
+            ("FreeFold", "TerminalFold", "PairFold", "mismatch", "collision", "reprimed", "empty"),
+            0,
+        )
+        for _ in range(300):
+            m, n = _random_coproduct_pair(rng)
+            coproduct, iota1, iota2 = net_coproduct(m.net, n.net)
+            expected_net, rename1, rename2 = reference_gluing.net_coproduct(m.net, n.net)
+            assert coproduct == expected_net
+            for iota, rename in ((iota1, rename1), (iota2, rename2)):
+                assert list(iota.object_map.items()) == [(p, (q,)) for p, q in rename.places]
+                assert list(iota.morphism_map.items()) == [
+                    (t, Gen(u)) for t, u in rename.transitions
+                ]
+            new = outcome(monoidal_product, m, n)
+            old = outcome(reference_gluing.monoidal_product, m, n)
+            seen["collision"] += coproduct.places != m.net.places + n.net.places
+            seen["reprimed"] += any(p.endswith("''") for p in coproduct.places)
+            seen["empty"] += not m.net.places or not n.net.places
+            if len(old) == 2:
+                assert new == old
+                seen["mismatch"] += 1
+                continue
+            product, *injections = new
+            expected, *old_injections = old
+            assert injections == old_injections == [iota1, iota2]
+            assert product.net == expected.net == coproduct
+            assert product.fold == expected.fold
+            assert serialize_net(product) == serialize_net(expected)
+            seen[type(product.fold).__name__] += 1
+        assert min(seen.values()) >= 15, seen
 
 
 class TestPushout:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from petriglue import (
+    Gen,
     Multiset,
     PetriNet,
     SmcPresentation,
@@ -15,7 +16,11 @@ from petriglue import (
     UnknownGeneratorError,
     UnknownPlaceError,
     ValidationError,
+    compose_functors,
     free_smc,
+    identity_functor,
+    is_generator_preserving_on_objects,
+    is_transition_preserving,
     net_coproduct,
     net_of_presentation,
     presentations_isomorphic,
@@ -121,16 +126,20 @@ class TestCoproduct:
         m = fig1_net()
         result, iota1, iota2 = net_coproduct(m, net([], []))
         assert result == m
-        assert dict(iota1.places) == {p: p for p in m.places}
-        assert iota2.places == ()
+        assert iota1.source == m.presentation and iota1.target == result.presentation
+        assert iota1.object_map == {p: (p,) for p in m.places}
+        assert iota1.morphism_map == {t.name: Gen(t.name) for t in m.transitions}
+        assert iota2.object_map == {} and iota2.morphism_map == {}
 
     def test_fig8a(self):
         left = net(["A", "C", "B"], [("f", {"A": 2}, {"C": 1, "B": 1})])
         right = net(["C", "D", "E"], [("h", {"C": 2}, {"D": 1}), ("k", {"C": 1}, {"E": 1})])
-        result, _, iota2 = net_coproduct(left, right)
+        result, iota1, iota2 = net_coproduct(left, right)
         assert result.places == ("A", "C", "B", "C'", "D", "E")
         assert [t.name for t in result.transitions] == ["f", "h", "k"]
-        assert iota2.place("C") == "C'"
+        assert iota1.morphism_map == {"f": Gen("f")}
+        assert iota2.map_object("C") == ("C'",)
+        assert iota2.morphism_map == {"h": Gen("h"), "k": Gen("k")}
         assert result.transition("h").pre.to_dict() == {"C'": 2}
 
     @given(nets(), nets())
@@ -142,14 +151,28 @@ class TestCoproduct:
     @given(nets(), nets())
     def test_injections_total_injective_jointly_surjective(self, m, n):
         result, iota1, iota2 = net_coproduct(m, n)
-        left = [iota1.place(p) for p in m.places]
-        right = [iota2.place(p) for p in n.places]
+        left = [iota1.map_object(p) for p in m.places]
+        right = [iota2.map_object(p) for p in n.places]
+        assert all(len(word) == 1 for word in left + right)
         assert len(set(left)) == len(m.places)
         assert len(set(right)) == len(n.places)
-        assert sorted(left + right) == sorted(result.places)
-        left_t = [iota1.transition(t.name) for t in m.transitions]
-        right_t = [iota2.transition(t.name) for t in n.transitions]
-        assert sorted(left_t + right_t) == sorted(t.name for t in result.transitions)
+        assert sorted(left + right) == sorted((p,) for p in result.places)
+        images = [iota1.morphism_map[t.name] for t in m.transitions] + [
+            iota2.morphism_map[t.name] for t in n.transitions
+        ]
+        assert all(isinstance(image, Gen) for image in images)
+        assert sorted(g.name for g in images) == sorted(t.name for t in result.transitions)
+
+    @given(nets(), nets())
+    def test_injections_are_transition_preserving_functors(self, m, n):
+        result, iota1, iota2 = net_coproduct(m, n)
+        for summand, iota in ((m, iota1), (n, iota2)):
+            assert iota.source == summand.presentation
+            assert iota.target == result.presentation
+            assert is_generator_preserving_on_objects(iota)
+            assert is_transition_preserving(iota)
+            assert compose_functors(identity_functor(summand.presentation), iota) == iota
+            assert compose_functors(iota, identity_functor(result.presentation)) == iota
 
 
 class TestPrune:

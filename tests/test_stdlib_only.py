@@ -1,7 +1,9 @@
-"""The library imports nothing outside the standard library.
+"""The library imports nothing outside the standard library, and parses
+as the oldest Python it declares.
 
-``pyproject.toml`` declares ``dependencies = []``; this keeps it true.
-Relative imports (``from .fssmc import ...``) stay inside the package.
+``pyproject.toml`` declares ``dependencies = []`` and
+``requires-python = ">=3.10"``; this keeps both true.  Relative imports
+(``from .fssmc import ...``) stay inside the package.
 """
 from __future__ import annotations
 
@@ -32,3 +34,10 @@ def test_library_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names
     }
     assert not outside
+
+
+def test_library_parses_as_python_3_10():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 1
+    for path in modules:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
