@@ -19,6 +19,7 @@ import functools
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -408,7 +409,36 @@ def serialize_net(net_sem: NetWithSemantics) -> str:
     doc = bare_net_to_doc(net_sem.net)
     doc["semantics"] = semantics_to_doc(net_sem.semantics)
     doc["fold"] = fold_to_doc(net_sem.fold)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _document_text(doc) + "\n"
+
+
+def _document_text(value: Any, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` byte for byte, at
+    nesting ``indent``, for what documents hold: strs, ints, lists, and
+    dicts with str keys.  ``json.dumps`` runs its pure-Python encoder
+    whenever it indents; this leaves only string escapes to the C one."""
+    kind = type(value)
+    if kind is str:
+        return _json_string(value)
+    if kind is int:
+        return str(value)
+    if kind is not list and kind is not dict:
+        raise ValidationError(f"documents hold no {kind.__name__} values: {value!r}")
+    if not value:
+        return "[]" if kind is list else "{}"
+    inner = indent + "  "
+    if kind is list:
+        items = [_json_string(v) if type(v) is str else _document_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    try:
+        items = [
+            _json_string(key) + ": "
+            + (_json_string(v) if type(v) is str else _document_text(v, inner))
+            for key, v in sorted(value.items())
+        ]
+    except TypeError:  # from sorting or escaping a key that is not a str
+        raise ValidationError("document keys must be strings") from None
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
 
 
 def _generator_images(doc: Any, where: str) -> tuple[dict[str, Word], dict[str, MorphismTerm]]:

@@ -83,6 +83,16 @@ class StrictFunctor:
                     f"got {dom} -> {cod}"
                 )
 
+    @classmethod
+    def _unchecked(cls, source, target, object_map, morphism_map) -> StrictFunctor:
+        """A functor strict by construction from checked parts, built
+        without the checks of ``__post_init__``."""
+        functor = object.__new__(cls)
+        functor.__dict__.update(
+            source=source, target=target, object_map=object_map, morphism_map=morphism_map
+        )
+        return functor
+
     def map_object(self, name: str) -> Word:
         return self.object_map[name]
 
@@ -117,10 +127,10 @@ def apply_functor(functor: StrictFunctor, t: MorphismTerm) -> MorphismTerm:
 
 
 def compose_functors(first: StrictFunctor, second: StrictFunctor) -> StrictFunctor:
-    """Diagrammatic composite ``first ; second``."""
+    """Diagrammatic composite ``first ; second``: strict, since both are."""
     if first.target != second.source:
         raise SourceMismatchError("target of first functor differs from source of second")
-    return StrictFunctor(
+    return StrictFunctor._unchecked(
         source=first.source,
         target=second.target,
         object_map={obj: second.map_word(word) for obj, word in first.object_map.items()},

@@ -69,6 +69,7 @@ from .net_model import (
     SmcPresentation,
     Transition,
     Word,
+    _presented,
     net_of_presentation,
     prune_isolated_places,
 )
@@ -148,13 +149,11 @@ def _conjugate(
 ) -> MorphismTerm:
     """Wrap a term in the symmetries matching it to the outer boundaries."""
     parts: list[MorphismTerm] = []
-    pre = alignment_permutation(outer_dom, core_dom)
-    if pre != identity_perm(len(pre)):
-        parts.append(Perm(outer_dom, pre))
+    if outer_dom != core_dom:
+        parts.append(Perm(outer_dom, alignment_permutation(outer_dom, core_dom)))
     parts.append(core)
-    post = alignment_permutation(core_cod, outer_cod)
-    if post != identity_perm(len(post)):
-        parts.append(Perm(core_cod, post))
+    if core_cod != outer_cod:
+        parts.append(Perm(core_cod, alignment_permutation(core_cod, outer_cod)))
     return compose_terms(parts)
 
 
@@ -324,7 +323,11 @@ def coequalize_tp(
             raise PreconditionFailedError("functors must send places to places")
         if not is_transition_preserving(functor):
             raise PreconditionFailedError("functors must be transition-preserving")
+    return _coequalize(first, second)
 
+
+def _coequalize(first: StrictFunctor, second: StrictFunctor) -> tuple[SmcPresentation, StrictFunctor]:
+    """:func:`coequalize_tp` on a pair that a :class:`Witness` has checked."""
     target = first.target
     objects = _UnionFind(target.objects)
     for obj in first.source.objects:
@@ -364,7 +367,7 @@ def coequalize_tp(
             )
         morphism_map[gen.name] = _conjugate(Gen(rep), *boundaries[rep], dom, cod)
     quotient = SmcPresentation(quotient_objects, tuple(quotient_morphisms))
-    coequalizer = StrictFunctor(
+    coequalizer = StrictFunctor._unchecked(
         source=target,
         target=quotient,
         object_map={o: (objects.find(o),) for o in target.objects},
@@ -474,7 +477,7 @@ def factor_fold_through_coequalizer(coequalizer: StrictFunctor, fold: Fold) -> F
         morphism_map[gen.name] = compose_terms(parts)
 
     induced = FreeFold(
-        StrictFunctor(
+        StrictFunctor._unchecked(
             source=quotient,
             target=carrier.target,
             object_map=object_map,
@@ -524,9 +527,9 @@ def identify(
                 "with different semantics"
             )
 
-    _, coequalizer = coequalize_tp(witness.left, witness.right)
+    quotient, coequalizer = _coequalize(witness.left, witness.right)
     induced = factor_fold_through_coequalizer(coequalizer, fold)
-    result = NetWithSemantics(net_of_presentation(coequalizer.target), induced)
+    result = NetWithSemantics(_presented(net_of_presentation(quotient), quotient), induced)
     return result, coequalizer
 
 
@@ -564,8 +567,18 @@ def net_coproduct(
         tuple(m.transitions)
         + tuple(Transition(name_map[t.name], rename(t.pre), rename(t.post)) for t in n.transitions),
     )
+    # n's places follow m's in their own order, so renaming keeps every
+    # word sorted: the presentation is m's followed by n's, renamed.
+    def rename_word(word: Word) -> Word:
+        return tuple(place_map[p] for p in word)
+
+    renamed = tuple(
+        MorphismGenerator(name_map[g.name], rename_word(g.dom), rename_word(g.cod))
+        for g in n.presentation.morphisms
+    )
+    _presented(net, SmcPresentation(net.places, m.presentation.morphisms + renamed))
     iota1, iota2 = (
-        StrictFunctor(
+        StrictFunctor._unchecked(
             source=summand.presentation,
             target=net.presentation,
             object_map={old: (new,) for old, new in places.items()},
@@ -601,7 +614,7 @@ def _copair_folds(
             object_map[new] = fold.functor.object_map[old]
         for old, image in iota.morphism_map.items():
             morphism_map[image.name] = fold.functor.morphism_map[old]
-    return FreeFold(StrictFunctor(coproduct, left.functor.target, object_map, morphism_map))
+    return FreeFold(StrictFunctor._unchecked(coproduct, left.functor.target, object_map, morphism_map))
 
 
 def monoidal_product(
@@ -791,11 +804,13 @@ def boundary_compose(
     Stage one identifies each paired place pair on the coproduct, left
     places keeping their names.  Stage two conflates, for every merged
     place, its producers and consumers with the minimal balanced firing
-    counts, pruning the place afterwards; producers must all come from
-    the left net and consumers from the right one.  The steps run under
-    the trivial semantics, so none of them composes a fold: the merged
-    net's fold is carried once along the total functor, which strict
-    functors compose to the same fold on the nose.
+    counts; producers must all come from the left net and consumers from
+    the right one.  Each step prunes every place no transition touches:
+    the merged place, and any place of either net that none used to begin
+    with.  The steps run under the trivial semantics, so none of them
+    composes a fold: the merged net's fold is carried once along the
+    total functor, which strict functors compose to the same fold on the
+    nose.
     """
     if left_sem.semantics != right_sem.semantics:
         raise SemanticsMismatchError("nets carry different semantics")

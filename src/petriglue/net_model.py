@@ -41,7 +41,13 @@ class Multiset:
 
     @classmethod
     def from_counts(cls, counts: Mapping[str, int]) -> Multiset:
-        return cls(tuple(sorted((n, c) for n, c in counts.items() if c != 0)))
+        """Nonzero counts, sorted and unique by construction: checked only below 1."""
+        entries = tuple(sorted(counts.items()))
+        if entries and min(counts.values()) < 1:
+            return cls(tuple(entry for entry in entries if entry[1] != 0))
+        ms = object.__new__(cls)
+        object.__setattr__(ms, "entries", entries)
+        return ms
 
     @classmethod
     def of_word(cls, word: Iterable[str]) -> Multiset:
@@ -50,11 +56,12 @@ class Multiset:
             counts[letter] = counts.get(letter, 0) + 1
         return cls.from_counts(counts)
 
+    @cached_property
+    def _counts(self) -> dict[str, int]:
+        return dict(self.entries)
+
     def count(self, name: str) -> int:
-        for entry, count in self.entries:
-            if entry == name:
-                return count
-        return 0
+        return self._counts.get(name, 0)
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.entries)
@@ -66,7 +73,7 @@ class Multiset:
         return dict(self.entries)
 
     def __contains__(self, name: str) -> bool:
-        return self.count(name) > 0
+        return name in self._counts
 
     def __bool__(self) -> bool:
         return bool(self.entries)
@@ -95,7 +102,7 @@ class PetriNet:
         declared = set(self.places)
         for t in self.transitions:
             for side in (t.pre, t.post):
-                for place in side.names():
+                for place, _ in side.entries:
                     if place not in declared:
                         raise UnknownPlaceError(
                             f"transition {t.name!r} refers to undeclared place {place!r}"
@@ -171,6 +178,12 @@ def free_smc(net: PetriNet) -> SmcPresentation:
 
     morphisms = tuple(MorphismGenerator(t.name, word(t.pre), word(t.post)) for t in net.transitions)
     return SmcPresentation(net.places, morphisms)
+
+
+def _presented(net: PetriNet, sig: SmcPresentation) -> PetriNet:
+    """Give ``net`` its presentation ``sig``, which must be ``free_smc(net)``."""
+    net.__dict__["presentation"] = sig
+    return net
 
 
 def net_of_presentation(sig: SmcPresentation) -> PetriNet:

@@ -30,7 +30,13 @@ from petriglue import (
     serialize_net,
     term_to_text,
 )
-from petriglue.cli_io import MAX_PRODUCT_DEPTH, _build_parser, main, parse_semantics
+from petriglue.cli_io import (
+    MAX_PRODUCT_DEPTH,
+    _build_parser,
+    _document_text,
+    main,
+    parse_semantics,
+)
 from support import FIXTURES, fig1_nws
 
 # fig8a's f: [A,A] -> [C,B], composed with identities 3,000 levels deep.
@@ -932,3 +938,104 @@ class TestComposedResultRoundTrips:
         merged, _ = identify(fig5, witness)
         text = serialize_net(merged)
         assert serialize_net(parse_net(text)) == text
+
+
+def _dumps(doc) -> str:
+    """The canonical form the writer must reproduce byte for byte."""
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _holds_only_document_values(value) -> bool:
+    if isinstance(value, dict):
+        return all(
+            type(key) is str and _holds_only_document_values(v) for key, v in value.items()
+        )
+    if isinstance(value, list):
+        return all(map(_holds_only_document_values, value))
+    return type(value) in (str, int)
+
+
+# Letters that json.dumps escapes in every way it can: quotes, backslashes,
+# control characters, non-ASCII letters, astral ones (a surrogate pair) and
+# a lone surrogate.
+_LETTERS = 'aZ0 "\\/\b\f\n\r\t\x00\x1f\x7f\x80é中\u2028\ufeff\U0001f600\ud800'
+
+
+def _random_document(rng, depth: int = 0):
+    kind = rng.choice("sild" if depth < 6 else "si")
+    if kind == "s":
+        return _random_text(rng, 6)
+    if kind == "i":
+        return rng.choice((0, 1, -1, 2**31, -(2**63), 10**30, rng.randint(-999, 999)))
+    if kind == "l":
+        return [_random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return {_random_text(rng, 3): _random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+
+
+def _random_text(rng, most: int) -> str:
+    return "".join(rng.choice(_LETTERS) for _ in range(rng.randint(0, most)))
+
+
+class TestCanonicalWriter:
+    """The document writer against ``json.dumps(doc, sort_keys=True,
+    indent=2)``: byte-identical on everything a document may hold, and a
+    ``ValidationError`` on anything else."""
+
+    def test_every_fixture(self):
+        for path in sorted(FIXTURES.glob("*.json")):
+            doc = json.loads(path.read_text())
+            if _holds_only_document_values(doc):
+                assert _document_text(doc) == _dumps(doc), path.name
+            else:  # a recipe's "prune" flag is a bool
+                with pytest.raises(ValidationError):
+                    _document_text(doc)
+            if "transitions" in doc and "semantics" in doc:
+                text = serialize_net(parse_net(path.read_text()))
+                assert text == _dumps(json.loads(text)) + "\n"
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_benchmark_glue_output(self, seed, tmp_path):
+        """Every output of the benchmark's glue commands for this seed."""
+        saved = list(sys.path)
+        sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
+        try:
+            import gen
+        finally:
+            sys.path[:] = saved
+        out = tmp_path / "out.json"
+        specs = gen.glue_inputs(seed)
+        for spec in specs:
+            for name, doc in spec["files"].items():
+                (tmp_path / name).write_text(json.dumps(doc))
+            argv = [str(tmp_path / a) if a in spec["files"] else a for a in spec["argv"]]
+            assert main(argv + ["--out", str(out)]) == 0
+            text = out.read_text()
+            assert text == _dumps(json.loads(text)) + "\n"
+        assert len(specs) >= 300
+
+    def test_random_documents(self):
+        import random
+
+        rng = random.Random(71)
+        seen = set()
+        for _ in range(1500):
+            doc = _random_document(rng)
+            assert _document_text(doc) == _dumps(doc)
+            seen.add(type(doc).__name__ + ("-empty" if doc in ([], {}, "") else ""))
+        assert {"dict", "list", "dict-empty", "list-empty", "str", "int"} <= seen
+
+    def test_deep_nesting(self):
+        doc: object = "leaf"
+        for i in range(300):
+            doc = [doc, i] if i % 2 else {"k\u00e9": doc, "": []}
+        assert _document_text(doc) == _dumps(doc)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.0, True, False, None, ("a",), {1: "a"}, {"a": 1, 2: "b"}, {None: 1}, {True: 1},
+         {"a": [1, 2.5]}, [{"b": {"c": None}}]],
+        ids=repr,
+    )
+    def test_other_values_rejected(self, value):
+        with pytest.raises(ValidationError):
+            _document_text(value)

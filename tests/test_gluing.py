@@ -266,6 +266,22 @@ class TestCoequalize:
         with pytest.raises(PreconditionFailedError, match="whose boundaries differ"):
             coequalize_tp(first, second)
 
+    def test_pairs_outside_its_domain_rejected(self):
+        """The public coequalizer checks its arguments itself: a pair that
+        is not place-preserving, or not transition-preserving, is refused."""
+        sig = fig5a_nws().presentation
+        witness = net(["a", "b"], [("t", {"a": 2}, {"b": 2})])
+        places = {"a": ("A",), "b": ("B",)}
+        twice = Tensor(Gen("f1"), Gen("f2"))
+        two_boxes = StrictFunctor(witness.presentation, sig, places, {"t": twice})
+        doubled = StrictFunctor(
+            witness.presentation, sig, {"a": ("A",) * 2, "b": ("B",) * 2}, {"t": Tensor(twice, twice)}
+        )
+        with pytest.raises(PreconditionFailedError, match="must send places to places"):
+            coequalize_tp(doubled, doubled)
+        with pytest.raises(PreconditionFailedError, match="must be transition-preserving"):
+            coequalize_tp(two_boxes, two_boxes)
+
 
 class TestMergeTwoPlaces:
     def test_fig5a_place_merge(self):
@@ -348,6 +364,23 @@ class TestWitnessPreconditions:
             Witness(witness_net, left, right)
 
 
+def _count_presentations(monkeypatch) -> list[PetriNet]:
+    """Every net ``free_smc`` is run on from now on, in order."""
+    from petriglue import cli_io, gluing, net_model, semantics
+
+    presented: list[PetriNet] = []
+    build = net_model.free_smc
+
+    def counting(n: PetriNet):
+        presented.append(n)
+        return build(n)
+
+    for module in (net_model, cli_io, gluing, semantics):
+        if hasattr(module, "free_smc"):
+            monkeypatch.setattr(module, "free_smc", counting)
+    return presented
+
+
 class TestIdentify:
     def test_fig5a_place_merge_with_fold(self):
         fig5 = fig5a_nws()
@@ -372,26 +405,34 @@ class TestIdentify:
             )
 
     def test_each_net_presented_once(self, monkeypatch):
-        """Parsing fig5a and its place witness, then identifying, builds
-        the free SMC of each distinct net once."""
-        from petriglue import cli_io, gluing, net_model, semantics
-
-        presented: list[PetriNet] = []
-        build = net_model.free_smc
-
-        def counting(n: PetriNet):
-            presented.append(n)
-            return build(n)
-
-        for module in (net_model, cli_io, gluing, semantics):
-            if hasattr(module, "free_smc"):
-                monkeypatch.setattr(module, "free_smc", counting)
+        """Parsing fig5a and its place witness, then identifying, presents
+        each parsed net once; the quotient is built with its presentation,
+        the coequalizer's target, and is not presented again."""
+        presented = _count_presentations(monkeypatch)
         fig5 = parse_net((FIXTURES / "fig5a.json").read_text())
         doc = json.loads((FIXTURES / "witness-fig5a-places.json").read_text())
         witness = parse_witness(doc, fig5.presentation)
-        result, _ = identify(fig5, witness)
-        assert [n.places for n in presented] == [fig5.net.places, ("o",), result.net.places]
+        result, coequalizer = identify(fig5, witness)
+        assert result.presentation is coequalizer.target
+        assert result.net.presentation is coequalizer.target
+        assert [n.places for n in presented] == [fig5.net.places, ("o",)]
         assert len({id(n) for n in presented}) == len(presented)
+
+    def test_witness_functors_are_not_checked_again(self, monkeypatch):
+        """``Witness`` has checked that its functors preserve places and
+        transitions; ``identify`` does not run those predicates on them."""
+        fig5 = parse_net((FIXTURES / "fig5a.json").read_text())
+        doc = json.loads((FIXTURES / "witness-fig5a-transitions.json").read_text())
+        witness = parse_witness(doc, fig5.presentation)
+        checked = []
+        for name in ("is_generator_preserving_on_objects", "is_transition_preserving"):
+            predicate = getattr(petriglue.gluing, name)
+            monkeypatch.setattr(
+                petriglue.gluing, name, lambda f, p=predicate: checked.append(f) or p(f)
+            )
+        identify(fig5, witness)
+        assert checked
+        assert not any(f is witness.left or f is witness.right for f in checked)
 
     def test_duplicated_subnet_identification(self):
         n = net(
@@ -787,6 +828,17 @@ class TestInducedFoldAgainstReference:
 
 
 class TestMonoidalProduct:
+    def test_coproduct_presented_with_its_summands(self, monkeypatch):
+        """The coproduct's presentation is the left summand's followed by
+        the renamed right one's; building it presents no net."""
+        left = parse_net((FIXTURES / "fig8a-left.json").read_text())
+        right = parse_net((FIXTURES / "fig8a-right.json").read_text())
+        presented = _count_presentations(monkeypatch)
+        product, iota1, iota2 = monoidal_product(left, right)
+        assert presented == []
+        assert product.presentation is iota1.target is iota2.target
+        assert product.presentation == free_smc(product.net)
+
     def test_unit(self):
         from petriglue import SemanticsMismatchError
 
@@ -1176,6 +1228,18 @@ class TestBoundaryCompose:
             result.net.fold.morphism_image(transition.name),
             Compose(Gen("p"), Gen("c")),
         )
+
+    def test_isolated_places_of_either_net_are_pruned(self):
+        """Every place no transition touches is pruned, not only the merged
+        one: an unused left place ``Z`` is gone from the result too."""
+        doc = json.loads((FIXTURES / "fig8a-left.json").read_text())
+        doc["places"].append("Z")
+        doc["fold"]["objects"]["Z"] = ["A"]
+        left = parse_net(json.dumps(doc))
+        right = parse_net((FIXTURES / "fig8a-right.json").read_text())
+        result = boundary_compose(left, right, [("C", "C")])
+        assert "Z" in result.merged.net.places
+        assert result.net.net.places == ("A", "B", "D", "E")
 
     def test_functor_passes_synchronization_verdict(self):
         left_sem, right_sem = fig8a_nets()
@@ -1691,3 +1755,93 @@ class TestBoundaryComposeFunctorCount:
         result = boundary_compose(left, right, pairing)
         assert calls == {"compose": k + 1, "after": 1}
         assert len(result.net.net.transitions) == k
+
+
+class TestBuiltWithoutChecks:
+    """What is built unchecked is what the checks would accept.
+
+    Functors derived from validated parts are built through
+    ``StrictFunctor._unchecked``, and the coproduct and quotient nets are
+    given their presentations when they are built (``_presented``).  On
+    random instances of every construction that does so, each such
+    functor passes the validating constructor unchanged, and each such
+    net's presentation is ``free_smc`` of it.
+    """
+
+    SITES = {
+        "net_coproduct", "_copair_folds", "compose_functors", "_coequalize",
+        "factor_fold_through_coequalizer",
+    }
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        functors: list[tuple[str, StrictFunctor]] = []
+        nets: list[PetriNet] = []
+        unchecked = StrictFunctor.__dict__["_unchecked"]
+        presented = petriglue.gluing._presented
+
+        def recording(cls, *args, **kwargs):
+            functor = unchecked.__func__(cls, *args, **kwargs)
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):  # a comprehension
+                frame = frame.f_back
+            functors.append((frame.f_code.co_name, functor))
+            return functor
+
+        def recording_net(n, sig):
+            nets.append(n)
+            return presented(n, sig)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(StrictFunctor, "_unchecked", classmethod(recording))
+            patch.setattr(petriglue.gluing, "_presented", recording_net)
+            self.run_instances(random.Random(89))
+        return functors, nets
+
+    @staticmethod
+    def run_instances(rng: random.Random) -> None:
+        for _ in range(40):
+            left, right, pairing = random_compose_pair(rng)
+            outcome(boundary_compose, left, right, pairing)
+            witness_net = PetriNet(tuple(f"b{i}" for i in range(len(pairing))), ())
+            legs = [
+                StrictFunctor(
+                    witness_net.presentation,
+                    side.presentation,
+                    {b: (p,) for b, p in zip(witness_net.places, places)},
+                    {},
+                )
+                for side, places in zip((left, right), zip(*pairing))
+            ]
+            outcome(pushout_glue, left, right, witness_net, *legs)
+        for _ in range(100):
+            outcome(monoidal_product, *_random_coproduct_pair(rng))
+        for _ in range(150):
+            n = _net_with_copy(rng)
+            fold = _random_fold(rng, n)
+            first, second = _random_witness_pair(rng, n.presentation, fold)
+            witness_net = net_of_presentation(first.source)
+            if witness_net.presentation == first.source:
+                outcome(identify, NetWithSemantics(n, fold), Witness(witness_net, first, second))
+            else:
+                coequalized = outcome(coequalize_tp, first, second)
+                if len(coequalized) == 2 and isinstance(coequalized[1], StrictFunctor):
+                    outcome(factor_fold_through_coequalizer, coequalized[1], fold)
+
+    def test_every_unchecked_functor_passes_the_full_check(self, built):
+        functors, _ = built
+        sites = {}
+        for site, functor in functors:
+            sites[site] = sites.get(site, 0) + 1
+            checked = StrictFunctor(
+                functor.source, functor.target, functor.object_map, functor.morphism_map
+            )
+            assert checked == functor
+        assert set(sites) == self.SITES
+        assert min(sites.values()) >= 20, sites
+
+    def test_every_seeded_presentation_is_free_smc(self, built):
+        _, nets = built
+        assert len(nets) >= 200
+        for n in nets:
+            assert free_smc(n) == n.presentation

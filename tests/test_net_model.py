@@ -220,6 +220,44 @@ class TestValidation:
             free_smc(fig1_net()).morphism("z")
 
 
+class TestMultiset:
+    """Entries given directly are checked; entries from counts are sorted
+    and unique by construction, and only their counts are checked."""
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ((("B", 1), ("A", 1)), "name-sorted and unique"),
+            ((("A", 1), ("A", 2)), "name-sorted and unique"),
+            ((("A", 0),), "count for 'A' must be >= 1"),
+            ((("A", 1), ("B", -2)), "count for 'B' must be >= 1"),
+        ],
+    )
+    def test_direct_construction_checks_entries(self, entries, message):
+        with pytest.raises(ValidationError, match=message):
+            Multiset(entries)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValidationError, match="count for 'A' must be >= 1"):
+            Multiset.from_counts({"A": -1})
+        with pytest.raises(ValidationError, match="count for 'B' must be >= 1"):
+            Multiset.from_counts({"A": 0, "B": -1, "C": 2})
+
+    @given(st.dictionaries(st.sampled_from("ABCDE"), st.integers(0, 3)))
+    def test_from_counts_agrees_with_direct_construction(self, counts):
+        ms = Multiset.from_counts(counts)
+        positive = {name: c for name, c in counts.items() if c}
+        assert ms == Multiset(tuple(sorted(positive.items())))
+        assert ms.to_dict() == positive
+        for name in "ABCDEF":
+            assert ms.count(name) == positive.get(name, 0)
+            assert (name in ms) == (name in positive)
+
+    def test_of_word(self):
+        assert Multiset.of_word(("B", "A", "B")) == Multiset((("A", 1), ("B", 2)))
+        assert Multiset.of_word(()) == Multiset.empty()
+
+
 class TestPresentationIsomorphism:
     def test_rename_is_iso(self):
         p = free_smc(fig1_net())
