@@ -39,7 +39,7 @@ from .fssmc import (
     to_diagram,
     typecheck,
 )
-from .net_model import SmcPresentation, Word
+from .net_model import SmcPresentation, Word, _built
 
 
 @dataclass(frozen=True)
@@ -83,16 +83,6 @@ class StrictFunctor:
                     f"got {dom} -> {cod}"
                 )
 
-    @classmethod
-    def _unchecked(cls, source, target, object_map, morphism_map) -> StrictFunctor:
-        """A functor strict by construction from checked parts, built
-        without the checks of ``__post_init__``."""
-        functor = object.__new__(cls)
-        functor.__dict__.update(
-            source=source, target=target, object_map=object_map, morphism_map=morphism_map
-        )
-        return functor
-
     def map_object(self, name: str) -> Word:
         return self.object_map[name]
 
@@ -104,12 +94,8 @@ class StrictFunctor:
 
 
 def identity_functor(sig: SmcPresentation) -> StrictFunctor:
-    return StrictFunctor(
-        source=sig,
-        target=sig,
-        object_map={obj: (obj,) for obj in sig.objects},
-        morphism_map={gen.name: Gen(gen.name) for gen in sig.morphisms},
-    )
+    object_map = {obj: (obj,) for obj in sig.objects}
+    return _built(StrictFunctor, sig, sig, object_map, {g.name: Gen(g.name) for g in sig.morphisms})
 
 
 def apply_functor(functor: StrictFunctor, t: MorphismTerm) -> MorphismTerm:
@@ -130,15 +116,9 @@ def compose_functors(first: StrictFunctor, second: StrictFunctor) -> StrictFunct
     """Diagrammatic composite ``first ; second``: strict, since both are."""
     if first.target != second.source:
         raise SourceMismatchError("target of first functor differs from source of second")
-    return StrictFunctor._unchecked(
-        source=first.source,
-        target=second.target,
-        object_map={obj: second.map_word(word) for obj, word in first.object_map.items()},
-        morphism_map={
-            name: apply_functor(second, image)
-            for name, image in first.morphism_map.items()
-        },
-    )
+    object_map = {obj: second.map_word(word) for obj, word in first.object_map.items()}
+    morphism_map = {name: apply_functor(second, t) for name, t in first.morphism_map.items()}
+    return _built(StrictFunctor, first.source, second.target, object_map, morphism_map)
 
 
 def is_generator_preserving_on_objects(functor: StrictFunctor) -> bool:
@@ -271,11 +251,13 @@ def _readback_generators(
     components are the copies and rigidity fixes their ports, so no other
     term has that image.  Empty when an image has no box: it leaves no trace.
     """
-    if not all(d.boxes for d in images.values()) or not is_generator_preserving_on_objects(functor):
+    if not all(d.boxes for d in images.values()):
         return frozenset()
-    if not is_injective_on_object_generators(functor):
-        return frozenset()
-    visible = {word[0] for word in functor.object_map.values()}
+    visible: set[str] = set()
+    for word in functor.object_map.values():
+        if len(word) != 1 or word[0] in visible:
+            return frozenset()
+        visible.add(word[0])
     users = Counter(label for d in images.values() for label in set(d.boxes))
     return frozenset(
         name

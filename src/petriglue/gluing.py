@@ -69,7 +69,7 @@ from .net_model import (
     SmcPresentation,
     Transition,
     Word,
-    _presented,
+    _built,
     net_of_presentation,
     prune_isolated_places,
 )
@@ -270,12 +270,9 @@ def synchronize_transitions(
     morphism_map[recipe.new_name] = _conjugate(
         recipe.expression, dom, cod, new_gen.dom, new_gen.cod
     )
-    functor = StrictFunctor(
-        source=merged_sig,
-        target=sig,
-        object_map={p: (p,) for p in merged.places},
-        morphism_map=morphism_map,
-    )
+    # Strict by construction: survivors keep their words, since places
+    # keep their order, and the event is the conjugated expression.
+    functor = _built(StrictFunctor, merged_sig, sig, {p: (p,) for p in merged.places}, morphism_map)
     return make_synchronization(net_sem, merged, functor, bound), functor
 
 
@@ -367,12 +364,8 @@ def _coequalize(first: StrictFunctor, second: StrictFunctor) -> tuple[SmcPresent
             )
         morphism_map[gen.name] = _conjugate(Gen(rep), *boundaries[rep], dom, cod)
     quotient = SmcPresentation(quotient_objects, tuple(quotient_morphisms))
-    coequalizer = StrictFunctor._unchecked(
-        source=target,
-        target=quotient,
-        object_map={o: (objects.find(o),) for o in target.objects},
-        morphism_map=morphism_map,
-    )
+    object_map = {o: (objects.find(o),) for o in target.objects}
+    coequalizer = _built(StrictFunctor, target, quotient, object_map, morphism_map)
     for gen in first.source.morphisms:
         left_image = apply_functor(coequalizer, first.morphism_map[gen.name])
         right_image = apply_functor(coequalizer, second.morphism_map[gen.name])
@@ -476,14 +469,7 @@ def factor_fold_through_coequalizer(coequalizer: StrictFunctor, fold: Fold) -> F
             parts.append(Perm(carrier.map_word(rep.cod), post))
         morphism_map[gen.name] = compose_terms(parts)
 
-    induced = FreeFold(
-        StrictFunctor._unchecked(
-            source=quotient,
-            target=carrier.target,
-            object_map=object_map,
-            morphism_map=morphism_map,
-        )
-    )
+    induced = FreeFold(_built(StrictFunctor, quotient, carrier.target, object_map, morphism_map))
     handle = fold.semantics
     for gen in source.morphisms:
         expected = fold.morphism_image(gen.name)
@@ -529,7 +515,7 @@ def identify(
 
     quotient, coequalizer = _coequalize(witness.left, witness.right)
     induced = factor_fold_through_coequalizer(coequalizer, fold)
-    result = NetWithSemantics(_presented(net_of_presentation(quotient), quotient), induced)
+    result = NetWithSemantics(net_of_presentation(quotient), induced)
     return result, coequalizer
 
 
@@ -562,27 +548,29 @@ def net_coproduct(
     def rename(ms: Multiset) -> Multiset:
         return Multiset.from_counts({place_map[p]: count for p, count in ms.entries})
 
-    net = PetriNet(
-        tuple(m.places) + tuple(place_map.values()),
-        tuple(m.transitions)
-        + tuple(Transition(name_map[t.name], rename(t.pre), rename(t.post)) for t in n.transitions),
+    def rename_word(word: Word) -> Word:
+        return tuple(map(place_map.__getitem__, word))
+
+    places = tuple(m.places) + tuple(place_map.values())
+    transitions = tuple(m.transitions) + tuple(
+        Transition(name_map[t.name], rename(t.pre), rename(t.post)) for t in n.transitions
     )
     # n's places follow m's in their own order, so renaming keeps every
-    # word sorted: the presentation is m's followed by n's, renamed.
-    def rename_word(word: Word) -> Word:
-        return tuple(place_map[p] for p in word)
-
+    # word sorted: the presentation is m's followed by n's, renamed.  The
+    # transitions are renamed too, as rebuilding them all from it costs more.
     renamed = tuple(
         MorphismGenerator(name_map[g.name], rename_word(g.dom), rename_word(g.cod))
         for g in n.presentation.morphisms
     )
-    _presented(net, SmcPresentation(net.places, m.presentation.morphisms + renamed))
+    sig = SmcPresentation(places, m.presentation.morphisms + renamed)
+    net = _built(PetriNet, places, transitions, presentation=sig)
     iota1, iota2 = (
-        StrictFunctor._unchecked(
-            source=summand.presentation,
-            target=net.presentation,
-            object_map={old: (new,) for old, new in places.items()},
-            morphism_map={old: Gen(new) for old, new in names.items()},
+        _built(
+            StrictFunctor,
+            summand.presentation,
+            net.presentation,
+            {old: (new,) for old, new in places.items()},
+            {old: Gen(new) for old, new in names.items()},
         )
         for summand, places, names in (
             (m, {p: p for p in m.places}, {t.name: t.name for t in m.transitions}),
@@ -614,7 +602,7 @@ def _copair_folds(
             object_map[new] = fold.functor.object_map[old]
         for old, image in iota.morphism_map.items():
             morphism_map[image.name] = fold.functor.morphism_map[old]
-    return FreeFold(StrictFunctor._unchecked(coproduct, left.functor.target, object_map, morphism_map))
+    return FreeFold(_built(StrictFunctor, coproduct, left.functor.target, object_map, morphism_map))
 
 
 def monoidal_product(
@@ -848,7 +836,7 @@ def boundary_compose(
 
     def pattern(images: list[Word]) -> StrictFunctor:
         object_map = dict(zip(witness_net.places, images))
-        return StrictFunctor(witness_net.presentation, product.presentation, object_map, {})
+        return _built(StrictFunctor, witness_net.presentation, product.presentation, object_map, {})
 
     witness = Witness(
         witness_net,

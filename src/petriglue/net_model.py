@@ -45,9 +45,7 @@ class Multiset:
         entries = tuple(sorted(counts.items()))
         if entries and min(counts.values()) < 1:
             return cls(tuple(entry for entry in entries if entry[1] != 0))
-        ms = object.__new__(cls)
-        object.__setattr__(ms, "entries", entries)
-        return ms
+        return _built(cls, entries)
 
     @classmethod
     def of_word(cls, word: Iterable[str]) -> Multiset:
@@ -180,19 +178,39 @@ def free_smc(net: PetriNet) -> SmcPresentation:
     return SmcPresentation(net.places, morphisms)
 
 
-def _presented(net: PetriNet, sig: SmcPresentation) -> PetriNet:
-    """Give ``net`` its presentation ``sig``, which must be ``free_smc(net)``."""
-    net.__dict__["presentation"] = sig
-    return net
+def _built(cls, *fields, **cached):
+    """An instance of the frozen dataclass ``cls`` made from parts that are
+    already checked, without running its ``__post_init__``.
+
+    ``fields`` go in declaration order; ``cached`` seeds cached properties
+    such as ``PetriNet.presentation``.  This is the one construction that
+    skips the checks.  Never use it for :class:`SmcPresentation`, whose
+    ``init=False`` fields are computed in ``__post_init__``.
+    """
+    value = object.__new__(cls)
+    # Set one attribute at a time: reading ``__dict__`` would make every
+    # later attribute read of the value slower.
+    for name, part in zip(cls.__dataclass_fields__, fields, strict=True):
+        object.__setattr__(value, name, part)
+    for name, part in cached.items():
+        object.__setattr__(value, name, part)
+    return value
 
 
 def net_of_presentation(sig: SmcPresentation) -> PetriNet:
-    """Forget word order: every generator becomes a transition."""
+    """Forget word order: every generator becomes a transition.
+
+    A checked presentation makes a valid net.  When every word of ``sig``
+    is sorted by its object order, ``sig`` is the net's presentation.
+    """
     transitions = tuple(
         Transition(m.name, Multiset.of_word(m.dom), Multiset.of_word(m.cod))
         for m in sig.morphisms
     )
-    return PetriNet(sig.objects, transitions)
+    rank = sig.object_rank.__getitem__
+    words = [word for m in sig.morphisms for word in (m.dom, m.cod)]
+    cached = {"presentation": sig} if all(list(w) == sorted(w, key=rank) for w in words) else {}
+    return _built(PetriNet, sig.objects, transitions, **cached)
 
 
 def prune_isolated_places(net: PetriNet) -> tuple[PetriNet, tuple[str, ...]]:
@@ -203,7 +221,7 @@ def prune_isolated_places(net: PetriNet) -> tuple[PetriNet, tuple[str, ...]]:
         used.update(t.post.names())
     removed = tuple(p for p in net.places if p not in used)
     survivors = tuple(p for p in net.places if p in used)
-    return PetriNet(survivors, net.transitions), removed
+    return _built(PetriNet, survivors, net.transitions), removed
 
 
 def presentations_isomorphic(p: SmcPresentation, q: SmcPresentation) -> bool:

@@ -178,6 +178,28 @@ def fig8a_nets() -> tuple[NetWithSemantics, NetWithSemantics]:
     return left_sem, right_sem
 
 
+def collapsing_split_pair() -> tuple[NetWithSemantics, NetWithSemantics]:
+    """Left ``p: A -> B``, ``q: A2 -> B`` and ``u: -> A2``, right
+    ``c: B -> X`` and ``d: B ->``, with free semantics.  Composed on
+    ``B``, they split into one event ``t``, and the sequences ``u t t``
+    and ``t u t`` differ only by which event ``u`` feeds, with equal
+    images, so the step fails faithfulness at bound 3."""
+    places = ("A", "A2", "B", "X")
+    steps = [("p", {"A": 1}, {"B": 1}), ("q", {"A2": 1}, {"B": 1}), ("u", {}, {"A2": 1}),
+             ("c", {"B": 1}, {"X": 1}), ("d", {"B": 1}, {})]
+    sides = [net(("A", "A2", "B"), steps[:3]), net(("B", "X"), steps[3:])]
+    semantics = SmcPresentation(
+        places, tuple(gen for n in sides for gen in n.presentation.morphisms)
+    )
+    return tuple(
+        NetWithSemantics(n, FreeFold(StrictFunctor(
+            n.presentation, semantics, {x: (x,) for x in n.places},
+            {t.name: Gen(t.name) for t in n.transitions},
+        )))
+        for n in sides
+    )
+
+
 def o_n_witness_functor(
     witness_net: PetriNet, target: SmcPresentation, images: dict[str, str]
 ) -> StrictFunctor:

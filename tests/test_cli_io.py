@@ -37,20 +37,28 @@ from petriglue.cli_io import (
     main,
     parse_semantics,
 )
-from support import FIXTURES, fig1_nws
+from support import FIXTURES, collapsing_split_pair, fig1_nws
 
 # fig8a's f: [A,A] -> [C,B], composed with identities 3,000 levels deep.
 DEEP_IMAGE = "comp(" * 3000 + "gen(f)" + ",id([C,B]))" * 3000
 RUN_MAIN = "import sys; from petriglue.cli_io import main; sys.exit(main(sys.argv[1:]))"
 
 
-def _fig8a_left_variant(tmp_path, mutate):
-    """fig8a-left's document, changed in place by ``mutate``, written out."""
-    doc = json.loads((FIXTURES / "fig8a-left.json").read_text())
-    mutate(doc)
-    path = tmp_path / "variant.json"
+def _fixture(name: str) -> str:
+    return str(FIXTURES / f"{name}.json")
+
+
+def _written(tmp_path, name: str, doc) -> str:
+    path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
-    return path
+    return str(path)
+
+
+def _fixture_variant(tmp_path, name: str, mutate) -> str:
+    """Fixture ``name``'s document, changed in place by ``mutate``, written out."""
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    mutate(doc)
+    return _written(tmp_path, f"{name}-variant", doc)
 
 
 def _deepen_f(doc):
@@ -300,6 +308,69 @@ class TestDotExport:
         nws = fig1_nws()
         assert export_dot(nws.net, nws.fold) == export_dot(nws.net, nws.fold)
 
+    FIG1_ARCS = (
+        '  "trans:f" -> "place:A" [label="3"];\n'
+        '  "trans:f" -> "place:B";\n'
+        '  "trans:f" -> "place:C" [label="5"];\n'
+    )
+
+    @staticmethod
+    def places(label) -> str:
+        return "".join(
+            f'  "place:{p}" [shape=circle, label="{p} : {label(p)}"];\n' for p in "ABCDEF"
+        )
+
+    @staticmethod
+    def dot_after_sync(tmp_path, capsys, recipe: str) -> str:
+        synced = tmp_path / "synced.json"
+        argv = ["sync", _fixture("fig1"), "--recipe", _fixture(f"recipe-{recipe}")]
+        assert main(argv + ["--out", str(synced)]) == 0
+        assert main(["dot", str(synced)]) == 0
+        return capsys.readouterr().out
+
+    def test_composite_fold_image(self, tmp_path, capsys):
+        """After a sync, the event's fold image is the recipe's composite."""
+        assert self.dot_after_sync(tmp_path, capsys, "gk") == (
+            "digraph net {\n  rankdir=LR;\n"
+            + self.places(lambda p: p)
+            + '  "trans:f" [shape=box, label="f : f"];\n'
+            '  "trans:h" [shape=box, label="h : h"];\n'
+            '  "trans:gk" [shape=box, label="gk : g;k"];\n'
+            + self.FIG1_ARCS
+            + '  "place:C" -> "trans:h";\n'
+            '  "place:D" -> "trans:h" [label="4"];\n'
+            '  "trans:h" -> "place:F";\n'
+            '  "place:A" -> "trans:gk" [label="2"];\n'
+            '  "place:B" -> "trans:gk";\n'
+            '  "place:C" -> "trans:gk" [label="3"];\n'
+            "}\n"
+        )
+
+    def test_nested_fold_image_is_parenthesized(self, tmp_path, capsys):
+        out = self.dot_after_sync(tmp_path, capsys, "ghk")
+        assert '  "trans:ghk" [shape=box, label="ghk : (g⊗h);(k⊗id(F))"];\n' in out
+
+    def test_product_of_free_and_terminal(self, tmp_path, capsys):
+        """Values in a product backend print as pairs, the terminal one as •."""
+        assert main(["dot", str(_fig1_in_nested_products(tmp_path, 1))]) == 0
+        assert capsys.readouterr().out == (
+            "digraph net {\n  rankdir=LR;\n"
+            + self.places(lambda p: f"⟨{p},•⟩")
+            + "".join(f'  "trans:{t}" [shape=box, label="{t} : ⟨{t},•⟩"];\n' for t in "fghk")
+            + self.FIG1_ARCS
+            + '  "place:A" -> "trans:g" [label="2"];\n'
+            '  "place:B" -> "trans:g";\n'
+            '  "place:C" -> "trans:g" [label="3"];\n'
+            '  "trans:g" -> "place:E";\n'
+            '  "trans:g" -> "place:F";\n'
+            '  "place:C" -> "trans:h";\n'
+            '  "place:D" -> "trans:h" [label="4"];\n'
+            '  "trans:h" -> "place:F";\n'
+            '  "place:E" -> "trans:k";\n'
+            '  "place:F" -> "trans:k";\n'
+            "}\n"
+        )
+
 
 class TestCli:
     def test_validate_ok(self, capsys):
@@ -307,13 +378,13 @@ class TestCli:
         assert "ok" in capsys.readouterr().out
 
     def test_validate_deeply_nested_fold_image(self, tmp_path):
-        path = _fig8a_left_variant(tmp_path, _deepen_f)
+        path = _fixture_variant(tmp_path, "fig8a-left", _deepen_f)
         done = _python("-c", RUN_MAIN, "validate", str(path))
         assert done.returncode in (0, 2)
         assert "Traceback" not in done.stderr
 
     def test_dot_deeply_nested_fold_image(self, tmp_path):
-        path = _fig8a_left_variant(tmp_path, _deepen_f)
+        path = _fixture_variant(tmp_path, "fig8a-left", _deepen_f)
         done = _python("-c", RUN_MAIN, "dot", str(path))
         assert "Traceback" not in done.stderr
         assert done.returncode == 0
@@ -353,7 +424,7 @@ class TestCli:
         ],
     )
     def test_validate_rejects_junk(self, tmp_path, capsys, mutate):
-        path = _fig8a_left_variant(tmp_path, mutate)
+        path = _fixture_variant(tmp_path, "fig8a-left", mutate)
         assert main(["validate", str(path)]) == 2
         assert main(["dot", str(path)]) == 2
         captured = capsys.readouterr()
@@ -670,6 +741,129 @@ class TestCli:
         )
         assert code == 1
         assert "verdict failure" in capsys.readouterr().err
+
+
+def _net_without_transitions(tmp_path, name: str, fold_objects: dict) -> str:
+    """The places ``fold_objects`` names, no transitions, and fig1's semantics."""
+    semantics = json.loads((FIXTURES / "fig1.json").read_text())["semantics"]
+    doc = {"places": list(fold_objects), "transitions": [], "semantics": semantics,
+           "fold": {"objects": fold_objects, "morphisms": {}}}
+    return _written(tmp_path, name, doc)
+
+
+def _check_functor(tmp_path, objects: dict, fold_objects: dict) -> list[str]:
+    functor = _written(tmp_path, "functor", {"objects": objects, "morphisms": {}})
+    src = _net_without_transitions(tmp_path, "src", fold_objects)
+    return ["check-functor", functor, "--src", src, "--tgt", _fixture("fig1")]
+
+
+def _collapsing_compose(tmp_path) -> list[str]:
+    left, right = collapsing_split_pair()
+    paths = [
+        _written(tmp_path, side, json.loads(serialize_net(n)))
+        for side, n in (("left", left), ("right", right))
+    ]
+    return ["compose", *paths, "--pair", "B=B"]
+
+
+def _make_terminal(doc):
+    doc.update(semantics={"backend": "terminal"}, fold={})
+
+
+UNCOVERED = (
+    "fail covers_all_target_generators: target generators never used: f, g, h, k\n"
+    + "".join(f"  certificate: {name}\n" for name in "fghk")
+)
+NOT_COMMUTING = (
+    "fail commutes_with_semantics: source fold differs from functor followed by target fold\n"
+)
+FAITHFUL = "faithful: distinct parallel morphisms collapse at bound 3"
+
+# Each case: the argv built in a temporary directory, the exit code, and
+# the whole of standard output and standard error.
+ERROR_PATHS = {
+    "check-functor-non-generator-object": (
+        lambda tmp: _check_functor(tmp, {"A": ["A", "A"]}, {"A": ["A"]}),
+        1,
+        "fail generator_preserving_on_objects: some object generator is sent to a "
+        "non-generator word\n" + NOT_COMMUTING,
+        "",
+    ),
+    "check-functor-shared-object-image": (
+        lambda tmp: _check_functor(tmp, {"A": ["A"], "B": ["A"]}, {"A": ["A"], "B": ["A"]}),
+        1,
+        "fail injective_on_object_generators: two object generators share an image\n"
+        + UNCOVERED,
+        "",
+    ),
+    "check-functor-not-commuting": (
+        lambda tmp: _check_functor(tmp, {"A": ["A"]}, {"A": ["B"]}),
+        1,
+        UNCOVERED + NOT_COMMUTING,
+        "",
+    ),
+    "compose-collapsing-split-event": (
+        _collapsing_compose, 1, "", f"verdict failure: {FAITHFUL}\n  {FAITHFUL}\n",
+    ),
+    "validate-duplicate-transition": (
+        lambda tmp: ["validate", _fixture_variant(
+            tmp, "fig1", lambda doc: doc["transitions"][1].update(name="f")
+        )],
+        2, "", "error: transition names must be pairwise distinct\n",
+    ),
+    "sync-event-named-after-survivor": (
+        lambda tmp: ["sync", _fixture("fig1"), "--recipe", _written(
+            tmp, "recipe", {"name": "h", "expression": "comp(gen(g),gen(k))"}
+        )],
+        2, "", "error: transition names must be pairwise distinct\n",
+    ),
+    "validate-duplicate-semantics-object": (
+        lambda tmp: ["validate", _fixture_variant(
+            tmp, "fig1", lambda doc: doc["semantics"]["objects"].append("A")
+        )],
+        2, "", "error: object generator names must be distinct\n",
+    ),
+    "validate-duplicate-semantics-morphism": (
+        lambda tmp: ["validate", _fixture_variant(
+            tmp, "fig1",
+            lambda doc: doc["semantics"]["morphisms"].append(doc["semantics"]["morphisms"][0]),
+        )],
+        2, "", "error: morphism generator names must be distinct\n",
+    ),
+    "compose-pair-without-equals": (
+        lambda tmp: ["compose", _fixture("fig8a-left"), _fixture("fig8a-right"), "--pair", "C"],
+        2, "", "error: --pair must look like LEFT=RIGHT, got 'C'\n",
+    ),
+    "compose-unknown-left-place": (
+        lambda tmp: ["compose", _fixture("fig8a-left"), _fixture("fig8a-right"), "--pair", "Z=C"],
+        2, "", "error: unknown left place 'Z'\n",
+    ),
+    "compose-unknown-right-place": (
+        lambda tmp: ["compose", _fixture("fig8a-left"), _fixture("fig8a-right"), "--pair", "C=Z"],
+        2, "", "error: unknown right place 'Z'\n",
+    ),
+    "compose-mismatched-semantics": (
+        lambda tmp: ["compose", _fixture("fig8a-left"),
+                     _fixture_variant(tmp, "fig8a-right", _make_terminal), "--pair", "C=C"],
+        2, "", "error: nets carry different semantics\n",
+    ),
+    "transport-terminal-net": (
+        lambda tmp: ["transport", _fixture_variant(tmp, "fig8a-right", _make_terminal),
+                     "--functor", _written(tmp, "change", {"semantics": {"backend": "terminal"}})],
+        2, "", "error: transport requires a net with a free backend\n",
+    ),
+}
+
+
+class TestErrorPaths:
+    """Verdict failures and typed errors that end a command: the exit code
+    and every line it prints."""
+
+    @pytest.mark.parametrize("case", sorted(ERROR_PATHS))
+    def test_exit_code_and_message(self, tmp_path, capsys, case):
+        argv, code, out, err = ERROR_PATHS[case]
+        assert main(argv(tmp_path)) == code
+        assert capsys.readouterr() == (out, err)
 
 
 class TestDeeplyNestedDocuments:

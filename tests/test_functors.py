@@ -849,6 +849,26 @@ class TestReadback:
         assert found(Gen("r"), Tensor(chain, Id(("B",)))) == {"s"}
         assert found(chain, joined) == set()
 
+    def test_objects_go_injectively_to_single_objects(self):
+        """``s`` reads back under ``A ↦ X, B ↦ Y``; sending both objects to
+        ``X``, or ``A`` to ``X X``, leaves nothing that reads back."""
+        source = SmcPresentation(("A", "B"), (MorphismGenerator("s", ("A",), ("B",)),))
+        target = SmcPresentation(
+            ("X", "Y"),
+            (
+                MorphismGenerator("p", ("X",), ("Y",)),
+                MorphismGenerator("q", ("X",), ("X",)),
+                MorphismGenerator("r", ("X", "X"), ("Y",)),
+            ),
+        )
+
+        def found(a, b, image):
+            return readback(StrictFunctor(source, target, {"A": a, "B": b}, {"s": Gen(image)}))
+
+        assert found(("X",), ("Y",), "p") == {"s"}
+        assert found(("X",), ("X",), "q") == set()
+        assert found(("X", "X"), ("Y",), "r") == set()
+
 
 def assert_matches_relabelling_search(functors, bounds=(1, 2, 3)):
     """Verdicts agree with the search that skipped relabelled generators

@@ -1,6 +1,7 @@
 """Synchronizations, identifications, coproducts, pushouts, boundaries."""
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import random
@@ -65,6 +66,7 @@ from petriglue import (
 )
 import petriglue.functors
 import petriglue.gluing
+import petriglue.net_model
 from petriglue.cli_io import parse_net, parse_witness
 from petriglue.fssmc import apply_perm, identity_perm
 import reference_functors
@@ -74,6 +76,7 @@ from reference_gluing import factor_fold_through_coequalizer as reference_factor
 from reference_gluing import minimal_firing_vector as reference_firing_vector
 from support import (
     FIXTURES,
+    collapsing_split_pair,
     fig1_nws,
     fig5a_nws,
     fig8a_nets,
@@ -1670,26 +1673,6 @@ def random_compose_pair(
     return with_semantics("l"), with_semantics("r"), list(zip(boundary, right_boundary))
 
 
-def collapsing_split_pair() -> tuple[NetWithSemantics, NetWithSemantics]:
-    """The split event of :func:`split_event_pair` with ``d: B ->`` and a
-    source ``u: -> A2``: the sequences ``u t t`` and ``t u t`` differ only
-    by which event ``u`` feeds, and their images are the same."""
-    places = ("A", "A2", "B", "X")
-    steps = [("p", {"A": 1}, {"B": 1}), ("q", {"A2": 1}, {"B": 1}), ("u", {}, {"A2": 1}),
-             ("c", {"B": 1}, {"X": 1}), ("d", {"B": 1}, {})]
-    sides = [net(("A", "A2", "B"), steps[:3]), net(("B", "X"), steps[3:])]
-    semantics = SmcPresentation(
-        places, tuple(gen for n in sides for gen in n.presentation.morphisms)
-    )
-    return tuple(
-        NetWithSemantics(n, FreeFold(StrictFunctor(
-            n.presentation, semantics, {x: (x,) for x in n.places},
-            {t.name: Gen(t.name) for t in n.transitions},
-        )))
-        for n in sides
-    )
-
-
 class TestBoundaryComposeAgainstPerStepOracle:
     """The one-pass composition against the per-step one it replaced:
     equal compositions with byte-identical serialized nets, or the same
@@ -1760,43 +1743,40 @@ class TestBoundaryComposeFunctorCount:
 class TestBuiltWithoutChecks:
     """What is built unchecked is what the checks would accept.
 
-    Functors derived from validated parts are built through
-    ``StrictFunctor._unchecked``, and the coproduct and quotient nets are
-    given their presentations when they are built (``_presented``).  On
-    random instances of every construction that does so, each such
-    functor passes the validating constructor unchanged, and each such
-    net's presentation is ``free_smc`` of it.
+    Functors, nets and multisets derived from validated parts are built
+    through ``net_model._built``, which skips ``__post_init__``; a net
+    whose presentation is known is given it there.  On random instances
+    of every construction that does so, each such functor and net passes
+    the validating constructor unchanged, and each seeded presentation
+    is ``free_smc`` of its net.
     """
 
-    SITES = {
+    FUNCTOR_SITES = {
         "net_coproduct", "_copair_folds", "compose_functors", "_coequalize",
-        "factor_fold_through_coequalizer",
+        "factor_fold_through_coequalizer", "identity_functor",
+        "synchronize_transitions", "boundary_compose",
     }
+    NET_SITES = {"net_coproduct", "prune_isolated_places", "net_of_presentation"}
 
     @pytest.fixture(scope="class")
     def built(self):
-        functors: list[tuple[str, StrictFunctor]] = []
-        nets: list[PetriNet] = []
-        unchecked = StrictFunctor.__dict__["_unchecked"]
-        presented = petriglue.gluing._presented
+        values: list[tuple[str, object, bool]] = []
+        original = petriglue.net_model._built
 
-        def recording(cls, *args, **kwargs):
-            functor = unchecked.__func__(cls, *args, **kwargs)
+        def recording(cls, *fields, **cached):
+            value = original(cls, *fields, **cached)
             frame = sys._getframe(1)
-            while frame.f_code.co_name.startswith("<"):  # a comprehension
+            while frame.f_code.co_flags & inspect.CO_NESTED:  # a comprehension or local function
                 frame = frame.f_back
-            functors.append((frame.f_code.co_name, functor))
-            return functor
-
-        def recording_net(n, sig):
-            nets.append(n)
-            return presented(n, sig)
+            values.append((frame.f_code.co_name, value, "presentation" in cached))
+            return value
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(StrictFunctor, "_unchecked", classmethod(recording))
-            patch.setattr(petriglue.gluing, "_presented", recording_net)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("petriglue") and getattr(module, "_built", None) is original:
+                    patch.setattr(module, "_built", recording)
             self.run_instances(random.Random(89))
-        return functors, nets
+        return values
 
     @staticmethod
     def run_instances(rng: random.Random) -> None:
@@ -1828,20 +1808,39 @@ class TestBuiltWithoutChecks:
                 if len(coequalized) == 2 and isinstance(coequalized[1], StrictFunctor):
                     outcome(factor_fold_through_coequalizer, coequalized[1], fold)
 
+    @staticmethod
+    def by_site(built, kind) -> dict[str, list]:
+        sites: dict[str, list] = {}
+        for site, value, _ in built:
+            if isinstance(value, kind):
+                sites.setdefault(site, []).append(value)
+        return sites
+
     def test_every_unchecked_functor_passes_the_full_check(self, built):
-        functors, _ = built
-        sites = {}
-        for site, functor in functors:
-            sites[site] = sites.get(site, 0) + 1
+        sites = self.by_site(built, StrictFunctor)
+        for functor in itertools.chain(*sites.values()):
             checked = StrictFunctor(
                 functor.source, functor.target, functor.object_map, functor.morphism_map
             )
             assert checked == functor
-        assert set(sites) == self.SITES
-        assert min(sites.values()) >= 20, sites
+        assert set(sites) == self.FUNCTOR_SITES
+        assert min(map(len, sites.values())) >= 20, {k: len(v) for k, v in sites.items()}
+
+    def test_every_unchecked_net_passes_the_full_check(self, built):
+        sites = self.by_site(built, PetriNet)
+        for n in itertools.chain(*sites.values()):
+            assert PetriNet(n.places, n.transitions) == n
+        assert set(sites) == self.NET_SITES
+        assert min(map(len, sites.values())) >= 20, {k: len(v) for k, v in sites.items()}
 
     def test_every_seeded_presentation_is_free_smc(self, built):
-        _, nets = built
-        assert len(nets) >= 200
-        for n in nets:
+        seeded = [n for _, n, presented in built if presented]
+        assert len(seeded) >= 200
+        for n in seeded:
             assert free_smc(n) == n.presentation
+
+    def test_every_unchecked_multiset_passes_the_full_check(self, built):
+        sites = self.by_site(built, Multiset)
+        assert set(sites) == {"from_counts"}
+        for ms in sites["from_counts"]:
+            assert Multiset(ms.entries) == ms
