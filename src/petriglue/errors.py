@@ -63,7 +63,7 @@ class EmptyDecompositionError(PetriGlueError):
 
 
 class BudgetExceededError(PetriGlueError):
-    """A bounded search passed its node limit, or a table its cell limit."""
+    """A bounded search passed its node limit, or an event its flow limit."""
 
 
 class BoundaryOrientationError(PetriGlueError):

@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from graphlib import CycleError, TopologicalSorter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -387,25 +386,6 @@ class StringDiagram:
             for p, (b, k) in enumerate(ends):
                 rows[b][k] = (c, p)
         return tuple(map(tuple, rows))
-
-    def validate(self) -> None:
-        """Check that each box output and interface input feeds exactly one
-        port, of its own label, and that box dependencies are acyclic."""
-        if not len(self.boxes) == len(self.box_doms) == len(self.box_cods) == len(self.feeds):
-            raise ValidationError("every box needs a domain, a codomain and a feed row")
-        given = (*self.box_cods, self.inputs)
-        sources = {(b, k) for b in range(-1, len(self.boxes)) for k in range(len(given[b]))}
-        ends = [end for row in (self.results, *self.feeds) for end in row]
-        if len(ends) != len(sources) or set(ends) != sources:
-            raise ValidationError("every box output and interface input must feed one port")
-        for word, row in zip((self.outputs, *self.box_doms), (self.results, *self.feeds)):
-            if len(row) != len(word) or any(given[b][k] != x for x, (b, k) in zip(word, row)):
-                raise ValidationError(f"ports {word} are fed {row}: wrong number or labels")
-        graph = {c: {b for b, _ in row if b >= 0} for c, row in enumerate(self.feeds)}
-        try:
-            TopologicalSorter(graph).prepare()
-        except CycleError:
-            raise ValidationError("box dependency relation has a cycle") from None
 
     _key = cached_property(_canonical_key)
 

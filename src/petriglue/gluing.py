@@ -14,7 +14,7 @@ strict on the nose.
 """
 from __future__ import annotations
 
-import math
+import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -654,24 +654,32 @@ def pushout_glue(
 # ---------------------------------------------------------------------------
 # Boundary composition
 
-#: Most cells the firing-vector tables may hold, so that boundary amounts
-#: near a thousand fail cleanly instead of exhausting memory.  A cell
-#: costs about 35 bytes, since counts above 256 are separate int objects,
-#: so the limit is about 70 MiB of tables.
-FIRING_TABLE_CELLS = 2 * 10**6
+#: Most tokens one synchronized event may move, which is also the number
+#: of wires in its diagram.  Below it the balance search settles at most
+#: about twice as many states.
+FIRING_FLOW_LIMIT = 500_000
 
 
 def minimal_firing_vector(
     producers: Sequence[tuple[str, int]], consumers: Sequence[tuple[str, int]]
 ) -> dict[str, int]:
-    """Balance token flow with the fewest total firings, all at least one.
+    """Balance token flow with the fewest total firings, all at least one;
+    ties go to the lexicographically smallest counts, producers first.
 
-    One change-making table per side covers every flow up to a bound
-    past which no assignment beats the fallback (every producer fires
-    once per consumed token and vice versa), in O((|producers| +
-    |consumers|) * bound) time and cells; ties go to the
-    lexicographically smallest counts, producers first.  Raises
-    :class:`BudgetExceededError` past :data:`FIRING_TABLE_CELLS` cells.
+    Dijkstra over token balances (produced minus consumed), starting
+    from every transition firing once: a negative balance fires a
+    producer, a positive one a consumer.  A path costs ``(total, n_1,
+    ..., n_k)`` in lexicographic order, which every step raises and
+    translation preserves, so the first balance 0 settled is the answer.
+    Every balanced multiset of firings can be fired in that sign order,
+    so none is missed, and balances stay between ``min(d0, 1 - max
+    consumed)`` and ``max(d0, max produced)``.  Raises
+    :class:`BudgetExceededError` when the answer moves more than
+    :data:`FIRING_FLOW_LIMIT` tokens, before searching when firing each
+    transition once already does.
+
+    >>> minimal_firing_vector([("f", 1)], [("h", 2), ("k", 1)])
+    {'f': 3, 'h': 1, 'k': 1}
     """
     if not producers or not consumers:
         raise PreconditionFailedError("producer and consumer lists must be nonempty")
@@ -684,51 +692,36 @@ def minimal_firing_vector(
 
     produced = [amount for _, amount in producers]
     consumed = [amount for _, amount in consumers]
-    fallback_total = len(produced) * sum(consumed) + len(consumed) * sum(produced)
-    max_p, max_c = max(produced), max(consumed)
-    flow_cap = fallback_total * max_p * max_c // (max_p + max_c)
-    cells = (len(produced) + len(consumed) + 2) * (flow_cap + 1)
-    if cells > FIRING_TABLE_CELLS:
+    least_flow = max(sum(produced), sum(consumed))
+    if least_flow > FIRING_FLOW_LIMIT:
         raise BudgetExceededError(
-            f"firing-vector tables need {cells} cells, more than {FIRING_TABLE_CELLS}"
+            f"the event moves at least {least_flow} tokens, more than {FIRING_FLOW_LIMIT}"
         )
-    p_rows = _change_making_rows(produced, flow_cap)
-    c_rows = _change_making_rows(consumed, flow_cap)
-    totals = [p + c for p, c in zip(p_rows[0], c_rows[0])]
-    least = min(totals)
-    p_counts, c_counts = min(
-        (_fewest_counts(produced, p_rows, flow), _fewest_counts(consumed, c_rows, flow))
-        for flow, total in enumerate(totals)
-        if total == least
-    )
-    return dict(zip(names, p_counts + c_counts))
-
-
-def _change_making_rows(amounts: list[int], cap: int) -> list[list[float]]:
-    """Suffix tables: ``rows[i][f]`` is the fewest firings of transitions
-    ``i..``, each at least once, that move exactly ``f`` tokens, or
-    ``math.inf`` when none do."""
-    rows = [[0] + [math.inf] * cap]
-    for amount in reversed(amounts):
-        row = [math.inf] * (cap + 1)
-        for f in range(amount, cap + 1):
-            row[f] = 1 + min(row[f - amount], rows[0][f - amount])
-        rows.insert(0, row)
-    return rows
-
-
-def _fewest_counts(amounts: list[int], rows: list[list[float]], flow: int) -> tuple[int, ...]:
-    """The lexicographically smallest counts that move ``flow`` tokens in
-    ``rows[0][flow]`` firings, which must be finite."""
-    counts = []
-    for i, amount in enumerate(amounts):
-        # A fitting count exists, so every smaller one leaves flow >= 0.
-        count = 1
-        while count + rows[i + 1][flow - count * amount] != rows[i][flow]:
-            count += 1
-        counts.append(count)
-        flow -= count * amount
-    return tuple(counts)
+    # A move is (position in the cost tuple, change of balance).
+    raises = [(1 + i, amount) for i, amount in enumerate(produced)]
+    lowers = [(1 + len(produced) + j, -amount) for j, amount in enumerate(consumed)]
+    heap = [((len(names),) + (1,) * len(names), sum(produced) - sum(consumed))]
+    settled = set()
+    while True:
+        cost, balance = heapq.heappop(heap)
+        if balance == 0:
+            break
+        if balance in settled:
+            continue
+        settled.add(balance)
+        for position, change in raises if balance < 0 else lowers:
+            if balance + change not in settled:
+                step = list(cost)
+                step[0] += 1
+                step[position] += 1
+                heapq.heappush(heap, (tuple(step), balance + change))
+    counts = cost[1:]
+    flow = sum(n * amount for n, amount in zip(counts, produced))
+    if flow > FIRING_FLOW_LIMIT:
+        raise BudgetExceededError(
+            f"the event moves {flow} tokens, more than {FIRING_FLOW_LIMIT}"
+        )
+    return dict(zip(names, counts))
 
 
 @dataclass(frozen=True)
@@ -832,13 +825,16 @@ def boundary_compose(
             )
 
     product, _, iota2 = monoidal_product(left_sem, right_sem)
-    witness_net = PetriNet(tuple(f"b{i}" for i in range(len(pairing))), ())
+    # The witness's places are fresh and its patterns send them to checked
+    # places, one each: nothing here needs checking again.
+    witness_net = _built(PetriNet, tuple(f"b{i}" for i in range(len(pairing))), ())
 
     def pattern(images: list[Word]) -> StrictFunctor:
         object_map = dict(zip(witness_net.places, images))
         return _built(StrictFunctor, witness_net.presentation, product.presentation, object_map, {})
 
-    witness = Witness(
+    witness = _built(
+        Witness,
         witness_net,
         pattern([(lp,) for lp, _ in pairing]),
         pattern([iota2.map_object(rp) for _, rp in pairing]),

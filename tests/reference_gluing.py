@@ -19,8 +19,11 @@ chained merges above use this copy, so that oracle does not depend on
 the rewrite.
 
 ``minimal_firing_vector`` tried every split of every flow up to its
-bound before the change-making tables replaced it; the tests require
-equal results from both.
+bound before the change-making tables replaced it, and
+``table_firing_vector`` is those tables: one suffix table per side
+filled up to a flow cap, read back into counts, under a cell budget.
+The library now runs one shortest-path search over token balances; the
+tests require equal results from all three.
 
 ``boundary_compose`` glued the nets with ``pushout_glue`` and then ran
 every synchronization step on a net with semantics, composing the fold
@@ -38,12 +41,14 @@ error, from both.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from petriglue import (
     BoundaryComposition,
     BoundaryOrientationError,
+    BudgetExceededError,
     Fold,
     FreeFold,
     MorphismGenerator,
@@ -295,6 +300,80 @@ def minimal_firing_vector(
     counts = {name: count for (name, _), count in zip(producers, best[1])}
     counts.update({name: count for (name, _), count in zip(consumers, best[2])})
     return counts
+
+
+#: Most cells the firing-vector tables may hold.
+TABLE_CELLS = 2 * 10**6
+
+
+def table_firing_vector(
+    producers: Sequence[tuple[str, int]], consumers: Sequence[tuple[str, int]]
+) -> dict[str, int]:
+    """Balance token flow with the fewest total firings, all at least one.
+
+    One change-making table per side covers every flow up to a bound
+    past which no assignment beats the fallback (every producer fires
+    once per consumed token and vice versa), in O((|producers| +
+    |consumers|) * bound) time and cells; ties go to the
+    lexicographically smallest counts, producers first.  Raises
+    :class:`BudgetExceededError` past :data:`TABLE_CELLS` cells.
+    """
+    if not producers or not consumers:
+        raise PreconditionFailedError("producer and consumer lists must be nonempty")
+    for name, amount in tuple(producers) + tuple(consumers):
+        if amount < 1:
+            raise PreconditionFailedError(f"amount for {name!r} must be >= 1")
+    names = [name for name, _ in producers] + [name for name, _ in consumers]
+    if len(set(names)) != len(names):
+        raise PreconditionFailedError("transition names must be unique")
+
+    produced = [amount for _, amount in producers]
+    consumed = [amount for _, amount in consumers]
+    fallback_total = len(produced) * sum(consumed) + len(consumed) * sum(produced)
+    max_p, max_c = max(produced), max(consumed)
+    flow_cap = fallback_total * max_p * max_c // (max_p + max_c)
+    cells = (len(produced) + len(consumed) + 2) * (flow_cap + 1)
+    if cells > TABLE_CELLS:
+        raise BudgetExceededError(
+            f"firing-vector tables need {cells} cells, more than {TABLE_CELLS}"
+        )
+    p_rows = _change_making_rows(produced, flow_cap)
+    c_rows = _change_making_rows(consumed, flow_cap)
+    totals = [p + c for p, c in zip(p_rows[0], c_rows[0])]
+    least = min(totals)
+    p_counts, c_counts = min(
+        (_fewest_counts(produced, p_rows, flow), _fewest_counts(consumed, c_rows, flow))
+        for flow, total in enumerate(totals)
+        if total == least
+    )
+    return dict(zip(names, p_counts + c_counts))
+
+
+def _change_making_rows(amounts: list[int], cap: int) -> list[list[float]]:
+    """Suffix tables: ``rows[i][f]`` is the fewest firings of transitions
+    ``i..``, each at least once, that move exactly ``f`` tokens, or
+    ``math.inf`` when none do."""
+    rows = [[0] + [math.inf] * cap]
+    for amount in reversed(amounts):
+        row = [math.inf] * (cap + 1)
+        for f in range(amount, cap + 1):
+            row[f] = 1 + min(row[f - amount], rows[0][f - amount])
+        rows.insert(0, row)
+    return rows
+
+
+def _fewest_counts(amounts: list[int], rows: list[list[float]], flow: int) -> tuple[int, ...]:
+    """The lexicographically smallest counts that move ``flow`` tokens in
+    ``rows[0][flow]`` firings, which must be finite."""
+    counts = []
+    for i, amount in enumerate(amounts):
+        # A fitting count exists, so every smaller one leaves flow >= 0.
+        count = 1
+        while count + rows[i + 1][flow - count * amount] != rows[i][flow]:
+            count += 1
+        counts.append(count)
+        flow -= count * amount
+    return tuple(counts)
 
 
 def _synchronization_expression(

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 from petriglue import (
@@ -19,6 +20,7 @@ from petriglue import (
     StringDiagram,
     Tensor,
     Transition,
+    ValidationError,
     free_smc,
     identity_fold,
     typecheck,
@@ -70,6 +72,27 @@ def wires(d: StringDiagram) -> frozenset:
         for p, end in enumerate(ends)
     )
     return frozenset(pairs)
+
+
+def validate_diagram(d: StringDiagram) -> None:
+    """Check that each box output and interface input of ``d`` feeds
+    exactly one port, of its own label, and that box dependencies are
+    acyclic; raise ``ValidationError`` otherwise."""
+    if not len(d.boxes) == len(d.box_doms) == len(d.box_cods) == len(d.feeds):
+        raise ValidationError("every box needs a domain, a codomain and a feed row")
+    given = (*d.box_cods, d.inputs)
+    sources = {(b, k) for b in range(-1, len(d.boxes)) for k in range(len(given[b]))}
+    ends = [end for row in (d.results, *d.feeds) for end in row]
+    if len(ends) != len(sources) or set(ends) != sources:
+        raise ValidationError("every box output and interface input must feed one port")
+    for word, row in zip((d.outputs, *d.box_doms), (d.results, *d.feeds)):
+        if len(row) != len(word) or any(given[b][k] != x for x, (b, k) in zip(word, row)):
+            raise ValidationError(f"ports {word} are fed {row}: wrong number or labels")
+    graph = {c: {b for b, _ in row if b >= 0} for c, row in enumerate(d.feeds)}
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError:
+        raise ValidationError("box dependency relation has a cycle") from None
 
 
 def diagram_from_wires(boxes, box_doms, box_cods, inputs, outputs, pairs) -> StringDiagram:

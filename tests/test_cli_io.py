@@ -554,8 +554,8 @@ class TestCli:
         assert captured.err.startswith("error: the functors merge 't2' into 't1'")
 
     def test_compose_thousands_of_tokens_exceeds_budget(self, tmp_path):
-        """fig8a with boundary amounts near 5,000: the firing-vector tables
-        would need 250 million cells, so compose stops at once."""
+        """fig8a with boundary amounts near 5,000: the synchronized event
+        would move 12.5 million tokens, so compose stops at once."""
         amounts = {"f": 4999, "h": 5003, "k": 5001}
         paths = []
         for name in ("fig8a-left.json", "fig8a-right.json"):
@@ -576,7 +576,9 @@ class TestCli:
         assert time.perf_counter() - started < 60
         assert result.returncode == 2
         assert result.stdout == ""
-        assert result.stderr.startswith("error: firing-vector tables need 250074970 cells")
+        assert result.stderr.startswith(
+            "error: the event moves 12507498 tokens, more than 500000"
+        )
 
     def test_compose_repeated_pair_names_the_place(self):
         result = _python(

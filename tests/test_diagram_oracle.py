@@ -32,7 +32,14 @@ from petriglue import (
     to_diagram,
 )
 from petriglue.fssmc import compose_terms
-from support import diagram_from_wires, fig1_net, random_rewrite, random_term, wires
+from support import (
+    diagram_from_wires,
+    fig1_net,
+    random_rewrite,
+    random_term,
+    validate_diagram,
+    wires,
+)
 
 SIG = free_smc(fig1_net())
 
@@ -145,7 +152,7 @@ def test_detects_single_wire_perturbations():
         mutated = perturbed(rng, d)
         if mutated is None:
             continue
-        mutated.validate()
+        validate_diagram(mutated)
         assert diagram_equal(d, mutated) == brute_force_equal(d, mutated)
         checked += 1
 
@@ -181,7 +188,7 @@ def test_matches_reference_on_large_equal_and_perturbed_pairs():
         assert diagram_equal(d, twin) and reference.diagram_equal(d, twin)
         mutated = perturbed(rng, twin)
         if mutated is not None:
-            mutated.validate()
+            validate_diagram(mutated)
             verdict = diagram_equal(d, mutated)
             assert verdict == reference.diagram_equal(d, mutated)
             unequal += not verdict
@@ -282,7 +289,7 @@ def test_closed_components_against_the_walk_from_every_box():
     for _ in range(300):
         d1 = to_diagram(random_term(rng, CLOSED_SIG, rng.randint(2, 12)), CLOSED_SIG)
         copy = renumbered(rng, d1)
-        copy.validate()
+        validate_diagram(copy)
         assert diagram_equal(d1, copy)
         others = [copy, perturbed(rng, copy),
                   to_diagram(random_term(rng, CLOSED_SIG, 6), CLOSED_SIG)]

@@ -38,6 +38,7 @@ from support import (
     random_rewrite,
     random_term,
     random_term_with_dom,
+    validate_diagram,
     wires,
 )
 
@@ -154,14 +155,14 @@ class TestToDiagram:
         d = to_diagram(Id(("A",)), SIG)
         assert d.boxes == ()
         assert len(wires(d)) == 1
-        d.validate()
+        validate_diagram(d)
 
     def test_parallel_generators(self):
         d = to_diagram(Tensor(Gen("g"), Gen("h")), SIG)
         assert sorted(d.boxes) == ["g", "h"]
         assert d.inputs == ("A", "A", "B", "C", "C", "C", "C", "D", "D", "D", "D")
         assert d.outputs == ("E", "F", "F")
-        d.validate()
+        validate_diagram(d)
 
     def test_interchange_same_diagram(self):
         h_dom = SIG.morphism("h").dom
@@ -180,7 +181,7 @@ class TestToDiagram:
         loop = SmcPresentation(("A",), (MorphismGenerator("g", ("A",), ("A",)),))
         d = to_diagram(compose_terms([Gen("g")] * 2000), loop)
         assert len(d.boxes) == 2000
-        d.validate()
+        validate_diagram(d)
 
     def test_cyclic_wiring_rejected(self):
         # Two boxes A -> A, each feeding the other; the interface wire passes by.
@@ -197,7 +198,7 @@ class TestToDiagram:
             }),
         )
         with pytest.raises(ValidationError, match="box dependency relation has a cycle"):
-            d.validate()
+            validate_diagram(d)
 
     @pytest.mark.parametrize(
         "term, changes, match",
@@ -218,9 +219,9 @@ class TestToDiagram:
     )
     def test_bad_wiring_rejected(self, term, changes, match):
         d = to_diagram(term, P_Q)
-        d.validate()
+        validate_diagram(d)
         with pytest.raises(ValidationError, match=match):
-            replace(d, **changes).validate()
+            validate_diagram(replace(d, **changes))
 
 
 class TestDiagramEqual:

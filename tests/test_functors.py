@@ -48,6 +48,7 @@ from support import (
     random_presentation,
     random_term,
     random_term_with_dom,
+    validate_diagram,
 )
 
 import reference_functors as reference
@@ -344,6 +345,33 @@ class TestFaithfulness:
         assert check_faithful_bounded(functor, 3) == FaithfulUpTo(3)
         with pytest.raises(BudgetExceededError):
             check_faithful_bounded(functor, 3, node_limit=4760)
+
+    def test_one_collapsing_class_needs_no_rescan(self):
+        """``u`` reads back, so only ``(f,)`` and ``(g,)`` are built, and
+        their one class collapses.  With one class there is no earlier
+        class to look for, so two sequences of work suffice."""
+        objects = ("A", "B", "Z", "W")
+        source = SmcPresentation(
+            objects,
+            (
+                MorphismGenerator("f", ("A",), ("B",)),
+                MorphismGenerator("g", ("A",), ("B",)),
+                MorphismGenerator("u", ("Z",), ("W",)),
+            ),
+        )
+        target = SmcPresentation(
+            objects,
+            (MorphismGenerator("h", ("A",), ("B",)), MorphismGenerator("v", ("Z",), ("W",))),
+        )
+        functor = StrictFunctor(
+            source,
+            target,
+            {o: (o,) for o in objects},
+            {"f": Gen("h"), "g": Gen("h"), "u": Gen("v")},
+        )
+        assert check_faithful_bounded(functor, 1, node_limit=2) == CounterexampleFound(
+            1, Gen("f"), Gen("g")
+        )
 
 
 def random_symmetry(rng: random.Random, dom, cod):
@@ -747,10 +775,10 @@ class TestSplicedDiagrams:
                 seq = tuple(rng.choice(names) for _ in range(rng.randint(0, 4)))
                 dom, _, term = _canonical_firing_term(sig, seq)
                 spliced = _spliced_diagram(sig, dom, seq, *own)
-                spliced.validate()
+                validate_diagram(spliced)
                 assert diagram_key(spliced) == diagram_key(to_diagram(term, sig))
                 spliced = _spliced_diagram(sig, dom, seq, *image)
-                spliced.validate()
+                validate_diagram(spliced)
                 expected = to_diagram(apply_functor(functor, term), functor.target)
                 assert diagram_key(spliced) == diagram_key(expected)
         assert widened > 40

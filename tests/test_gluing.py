@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from petriglue import (
+    BoundaryComposition,
     BoundaryOrientationError,
     BudgetExceededError,
     Compose,
@@ -74,6 +75,7 @@ import reference_gluing
 from reference_gluing import _sequential_merge, identify_by_merges
 from reference_gluing import factor_fold_through_coequalizer as reference_factor_fold
 from reference_gluing import minimal_firing_vector as reference_firing_vector
+from reference_gluing import table_firing_vector
 from support import (
     FIXTURES,
     collapsing_split_pair,
@@ -1139,20 +1141,57 @@ class TestMinimalFiringVector:
         assert tuple(counts.values()) == expected[0] + expected[1]
 
     def test_table_budget(self):
-        with pytest.raises(BudgetExceededError, match="firing-vector tables need"):
+        """Its answer would move 12,507,498 tokens, far past the flow limit."""
+        with pytest.raises(BudgetExceededError, match="moves 12507498 tokens, more than 500000"):
             minimal_firing_vector([("f", 4999)], [("h", 5003), ("k", 5001)])
 
     def test_table_budget_bounds_memory(self):
-        """997 against 1009 needs 4.0 million cells, about 140 MiB of
-        tables; 499 against 503 needs about one million and still fits."""
-        with pytest.raises(BudgetExceededError, match="4023896 cells"):
+        """997 against 1009 would move 1,005,973 tokens; 499 against 503
+        moves 251,497 and is answered."""
+        with pytest.raises(BudgetExceededError, match="moves 1005973 tokens"):
             minimal_firing_vector([("p", 997)], [("c", 1009)])
         assert minimal_firing_vector([("p", 499)], [("c", 503)]) == {"p": 503, "c": 499}
 
+    def test_answers_past_the_old_table_budget(self):
+        """The change-making tables refused amounts near a thousand by
+        their size; the balance search answers when the event is small."""
+        sides = _sides((997, 991), (983, 977))
+        with pytest.raises(BudgetExceededError, match="cells"):
+            table_firing_vector(*sides)
+        counts = minimal_firing_vector(*sides)
+        assert counts == {"p0": 91, "p1": 10, "c0": 1, "c1": 102}
+        assert 91 * 997 + 10 * 991 == 983 + 102 * 977 == 100_637
+
+    @pytest.mark.parametrize(
+        "produced, consumed, flow",
+        [
+            ((701,), (709,), 497_009),
+            ((707,), (709,), 501_263),
+            ((1000,), (999,), 999_000),
+            ((250_000, 250_000), (500_000,), 500_000),
+            ((250_000, 250_001), (500_001,), None),
+            ((500_001,), (1,), None),
+        ],
+    )
+    def test_flow_limit(self, produced, consumed, flow):
+        """Refused exactly when the answer moves more than the limit; when
+        every transition firing once already does, before any search."""
+        assert petriglue.gluing.FIRING_FLOW_LIMIT == 500_000
+        sides = _sides(produced, consumed)
+        if flow is None:
+            with pytest.raises(BudgetExceededError, match="at least 500001 tokens"):
+                minimal_firing_vector(*sides)
+        elif flow > 500_000:
+            with pytest.raises(BudgetExceededError, match=f"moves {flow} tokens"):
+                minimal_firing_vector(*sides)
+        else:
+            counts = minimal_firing_vector(*sides)
+            assert sum(counts[f"p{i}"] * a for i, a in enumerate(produced)) == flow
+
 
 class TestFiringVectorAgainstExhaustiveOracle:
-    """The change-making tables against the old split search
-    (``reference_gluing.minimal_firing_vector``)."""
+    """The balance search against the split search that came before the
+    tables (``reference_gluing.minimal_firing_vector``)."""
 
     def test_every_small_instance(self):
         checked = 0
@@ -1182,6 +1221,81 @@ class TestFiringVectorAgainstExhaustiveOracle:
     def test_edge_amounts(self, produced, consumed):
         sides = _sides(produced, consumed)
         assert minimal_firing_vector(*sides) == reference_firing_vector(*sides)
+
+
+def _compose_seed_firing_inputs(seed: int) -> list:
+    """The (producers, consumers) of every firing-vector call that a
+    compose pass of the benchmark's ``seed`` makes.  Each transition of
+    those pairs touches one boundary place, so the calls are read off the
+    specs without composing."""
+    saved = list(sys.path)
+    sys.path[:0] = [str(FIXTURES.parent / "perfbench")]
+    try:
+        import gen
+    finally:
+        sys.path[:] = saved
+    calls = []
+    for spec in gen.compose_inputs(seed):
+        for left_place, right_place in spec["pairing"]:
+            producers = [(n, post[left_place]) for n, _, post in spec["left"]["transitions"]
+                         if left_place in post]
+            consumers = [(n, pre[right_place]) for n, pre, _ in spec["right"]["transitions"]
+                         if right_place in pre]
+            calls.append((producers, consumers))
+    return calls
+
+
+class TestFiringVectorAgainstTableOracle:
+    """The balance search against the change-making tables it replaced
+    (``reference_gluing.table_firing_vector``)."""
+
+    def test_every_small_instance(self):
+        checked = 0
+        for n_p, n_c in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]:
+            for produced in itertools.product(range(1, 6), repeat=n_p):
+                for consumed in itertools.product(range(1, 6), repeat=n_c):
+                    sides = _sides(produced, consumed)
+                    assert minimal_firing_vector(*sides) == table_firing_vector(*sides)
+                    checked += 1
+        assert checked == 2150
+
+    def test_random_heavy_instances(self):
+        rng = random.Random(27)
+        for _ in range(120):
+            sides = _sides(
+                [rng.randint(1, 40) for _ in range(rng.randint(1, 4))],
+                [rng.randint(1, 40) for _ in range(rng.randint(1, 4))],
+            )
+            assert minimal_firing_vector(*sides) == table_firing_vector(*sides)
+
+    def test_refuses_exactly_past_the_flow_limit(self, monkeypatch):
+        """With the limit lowered, the search refuses an input exactly when
+        the tables' answer moves more tokens than the limit."""
+        rng = random.Random(28)
+        monkeypatch.setattr(petriglue.gluing, "FIRING_FLOW_LIMIT", 60)
+        refused = 0
+        for _ in range(300):
+            sides = _sides(
+                [rng.randint(1, 19) for _ in range(rng.randint(1, 3))],
+                [rng.randint(1, 19) for _ in range(rng.randint(1, 3))],
+            )
+            expected = table_firing_vector(*sides)
+            if sum(expected[name] * amount for name, amount in sides[0]) > 60:
+                refused += 1
+                with pytest.raises(BudgetExceededError):
+                    minimal_firing_vector(*sides)
+            else:
+                assert minimal_firing_vector(*sides) == expected
+        assert 0 < refused < 300
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_benchmark_compose_call(self, seed):
+        calls = _compose_seed_firing_inputs(seed)
+        assert len(calls) == 301
+        for producers, consumers in calls:
+            assert minimal_firing_vector(producers, consumers) == table_firing_vector(
+                producers, consumers
+            )
 
 
 class TestBoundaryCompose:
@@ -1589,6 +1703,111 @@ class TestMultiBoundaryComposition:
             boundary_compose(left_sem, right_sem, [("P", "P"), ("Q", "Q")])
 
 
+def free_nets(*specs) -> list[NetWithSemantics]:
+    """Nets from ``(places, transitions)`` specs, each folded into one
+    free semantics whose generators are all their transitions."""
+    nets = [net(places, transitions) for places, transitions in specs]
+    objects = tuple(dict.fromkeys(p for n in nets for p in n.places))
+    semantics = SmcPresentation(objects, tuple(g for n in nets for g in n.presentation.morphisms))
+    return [
+        NetWithSemantics(n, FreeFold(StrictFunctor(
+            n.presentation, semantics, {p: (p,) for p in n.places},
+            {t.name: Gen(t.name) for t in n.transitions},
+        )))
+        for n in nets
+    ]
+
+
+def random_decoupled_pair(
+    rng: random.Random,
+) -> tuple[NetWithSemantics, NetWithSemantics, list[tuple[str, str]]]:
+    """Two or three paired places, each with one or two producers and
+    consumers of its own: every transition touches one boundary place.
+    Some also make a side token ``S`` or need an extra one ``R``."""
+    boundary = [f"X{i}" for i in range(rng.randint(2, 3))]
+    left, right = [], []
+    for i, place in enumerate(boundary):
+        for j in range(rng.randint(1, 2)):
+            post = {place: rng.randint(1, 3)}
+            if rng.random() < 0.3:
+                post["S"] = 1
+            left.append((f"p{i}{j}", {f"I{i}": rng.randint(1, 2)}, post))
+        for j in range(rng.randint(1, 2)):
+            pre = {place: rng.randint(1, 3)}
+            if rng.random() < 0.3:
+                pre["R"] = 1
+            right.append((f"c{i}{j}", pre, {f"O{i}": 1}))
+    rng.shuffle(left)
+    rng.shuffle(right)
+    left_places = [f"I{i}" for i in range(len(boundary))] + boundary + ["S"]
+    right_places = boundary + ["R"] + [f"O{i}" for i in range(len(boundary))]
+    rng.shuffle(left_places)
+    rng.shuffle(right_places)
+    left_sem, right_sem = free_nets((left_places, left), (right_places, right))
+    return left_sem, right_sem, [(b, b) for b in boundary]
+
+
+def _event_shapes(result: BoundaryComposition) -> list:
+    return [(t.name, t.pre.to_dict(), t.post.to_dict()) for t in result.net.net.transitions]
+
+
+class TestCompositionOrder:
+    """Boundary composition synchronizes one merged place at a time, in
+    pairing order, so where transitions couple boundary places the
+    result depends on that order, and chains depend on bracketing."""
+
+    def test_pairing_order_changes_a_coupled_composition(self):
+        left, right = free_nets(
+            (["I", "X", "Y"], [
+                ("p0", {"I": 1}, {"Y": 1}),
+                ("p1", {"I": 1}, {"X": 1, "Y": 2}),
+                ("p2", {"I": 1}, {"Y": 3}),
+            ]),
+            (["X", "Y", "O"], [("c0", {"Y": 1}, {"O": 1}), ("c1", {"X": 2}, {"O": 1})]),
+        )
+        x_first = boundary_compose(left, right, [("X", "X"), ("Y", "Y")])
+        y_first = boundary_compose(left, right, [("Y", "Y"), ("X", "X")])
+        assert _event_shapes(x_first) == [("p0+p2+p1*2+c1+c0*8", {"I": 4}, {"O": 9})]
+        assert _event_shapes(y_first) == [("p0+p1+p2+c0*6*2+c1", {"I": 6}, {"O": 13})]
+
+    def test_bracketing_changes_a_chain(self):
+        a, b, c = free_nets(
+            (["I", "X"], [("a0", {"I": 1}, {"X": 2})]),
+            (["X", "Y"], [("b0", {"X": 1}, {"Y": 2}), ("b1", {"X": 2}, {"Y": 1})]),
+            (["Y", "O"], [("c0", {"Y": 2}, {"O": 1})]),
+        )
+        ab = boundary_compose(a, b, [("X", "X")]).net
+        bc = boundary_compose(b, c, [("Y", "Y")]).net
+        ab_c = boundary_compose(ab, c, [("Y", "Y")])
+        a_bc = boundary_compose(a, bc, [("X", "X")])
+        assert _event_shapes(ab_c) == [("a0*2+b0*2+b1*2+c0*5", {"I": 4}, {"O": 5})]
+        assert _event_shapes(a_bc) == [("a0*5+b0+b1*2+c0*2*2", {"I": 5}, {"O": 4})]
+
+    def test_decoupled_pairings_compose_alike_in_every_order(self):
+        """Up to the order of the events: the same places, transitions,
+        fold images and firing vectors."""
+        rng = random.Random(27)
+        orders = 0
+        for _ in range(15):
+            left, right, pairing = random_decoupled_pair(rng)
+            first, *rest = (
+                boundary_compose(left, right, list(order))
+                for order in itertools.permutations(pairing)
+            )
+            for result in rest:
+                assert result.net.net.places == first.net.net.places
+                assert set(result.net.net.transitions) == set(first.net.net.transitions)
+                assert sorted(result.firing_vectors) == sorted(first.firing_vectors)
+                for t in first.net.net.transitions:
+                    assert sem_equal(
+                        first.net.semantics,
+                        result.net.fold.morphism_image(t.name),
+                        first.net.fold.morphism_image(t.name),
+                    )
+                orders += 1
+        assert orders >= 30
+
+
 def random_compose_pair(
     rng: random.Random,
 ) -> tuple[NetWithSemantics, NetWithSemantics, list[tuple[str, str]]]:
@@ -1756,7 +1975,9 @@ class TestBuiltWithoutChecks:
         "factor_fold_through_coequalizer", "identity_functor",
         "synchronize_transitions", "boundary_compose",
     }
-    NET_SITES = {"net_coproduct", "prune_isolated_places", "net_of_presentation"}
+    NET_SITES = {
+        "net_coproduct", "prune_isolated_places", "net_of_presentation", "boundary_compose",
+    }
 
     @pytest.fixture(scope="class")
     def built(self):
@@ -1832,6 +2053,13 @@ class TestBuiltWithoutChecks:
             assert PetriNet(n.places, n.transitions) == n
         assert set(sites) == self.NET_SITES
         assert min(map(len, sites.values())) >= 20, {k: len(v) for k, v in sites.items()}
+
+    def test_every_unchecked_witness_passes_the_full_check(self, built):
+        sites = self.by_site(built, Witness)
+        assert set(sites) == {"boundary_compose"}
+        assert len(sites["boundary_compose"]) >= 20
+        for witness in sites["boundary_compose"]:
+            assert Witness(witness.net, witness.left, witness.right) == witness
 
     def test_every_seeded_presentation_is_free_smc(self, built):
         seeded = [n for _, n, presented in built if presented]
