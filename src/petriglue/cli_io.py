@@ -161,6 +161,7 @@ def parse_term(text: str) -> MorphismTerm:
     equal text are one node.
     """
     leaves: dict[str, MorphismTerm] = {}
+    opened: dict[str, list[type]] = {}
     # Each open comp/ten node: its constructor, then its first operand once parsed.
     stack: list = []
     pos = 0
@@ -169,11 +170,13 @@ def parse_term(text: str) -> MorphismTerm:
         if m is None:
             raise _step_error(text, pos)
         heads, leaf, close, comma = m.group("heads", "leaf", "close", "comma")
-        stack += [Compose if "comp" in h else Tensor for h in heads.split("(")[:-1]]
+        if heads not in opened:
+            opened[heads] = [Compose if "comp" in h else Tensor for h in heads.split("(")[:-1]]
+        stack += opened[heads]
         value = leaves.get(leaf)
         if value is None:
             value = leaves[leaf] = _leaf(m, text, pos)
-        for k in range(close.count(")")):
+        for k in range(close.count(")") if close else 0):
             if not stack or stack[-1] is Compose or stack[-1] is Tensor:
                 at = m.start("close") + [i for i, c in enumerate(close) if c == ")"][k]
                 expected = "expected ','" if stack else "trailing input after term"
@@ -193,58 +196,58 @@ def parse_term(text: str) -> MorphismTerm:
         raise ParseError(f"at position {at}: expected {expected}")
 
 
+def _render(term: MorphismTerm, table: dict, brackets: tuple[str, str] = ("", "")) -> str:
+    """Print ``term`` in one walk.  ``table`` maps each leaf type to its
+    printer and each operator type to its (head, separator, tail);
+    ``brackets`` enclose an operator node under the other operator."""
+    parts: list[str] = []
+    # Pending items: literal text, or a subterm and the operator type above it.
+    stack: list = [(term, type(term))]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        t, above = item
+        kind = type(t)
+        entry = table.get(kind)
+        if entry is None:
+            raise ValidationError(f"not a morphism term: {t!r}")
+        if callable(entry):
+            parts.append(entry(t))
+            continue
+        head, separator, tail = entry
+        opening, closing = ("", "") if kind is above else brackets
+        parts.append(opening + head)
+        first, second = (getattr(t, field) for field in t.__match_args__)
+        stack += (tail + closing, (second, kind), separator, (first, kind))
+    return "".join(parts)
+
+
+_TEXT = {
+    Gen: lambda t: f"gen({t.name})",
+    Id: lambda t: f"id([{','.join(t.word)}])",
+    Perm: lambda t: f"perm([{','.join(t.word)}],[{','.join(map(str, t.perm))}])",
+    Compose: ("comp(", ",", ")"),
+    Tensor: ("ten(", ",", ")"),
+}
+_PRETTY = {
+    Gen: lambda t: t.name,
+    Id: lambda t: f"id({'·'.join(t.word) or 'ε'})",
+    Perm: lambda t: f"σ{list(t.perm)}",
+    Compose: ("", ";", ""),
+    Tensor: ("", "⊗", ""),
+}
+
+
 def term_to_text(term: MorphismTerm) -> str:
     """Canonical expression form; inverse of :func:`parse_term`."""
-    parts: list[str] = []
-    # Pending (is_text, item) pairs: literal text, or a subterm to print.
-    stack: list[tuple[bool, Any]] = [(False, term)]
-    while stack:
-        is_text, t = stack.pop()
-        if is_text:
-            parts.append(t)
-        elif isinstance(t, Gen):
-            parts.append(f"gen({t.name})")
-        elif isinstance(t, Id):
-            parts.append(f"id([{','.join(t.word)}])")
-        elif isinstance(t, Perm):
-            parts.append(f"perm([{','.join(t.word)}],[{','.join(map(str, t.perm))}])")
-        elif isinstance(t, Compose):
-            parts.append("comp(")
-            stack += ((True, ")"), (False, t.second), (True, ","), (False, t.first))
-        elif isinstance(t, Tensor):
-            parts.append("ten(")
-            stack += ((True, ")"), (False, t.right), (True, ","), (False, t.left))
-        else:
-            raise ValidationError(f"not a morphism term: {t!r}")
-    return "".join(parts)
+    return _render(term, _TEXT)
 
 
 def pretty_term(term: MorphismTerm) -> str:
     """Human form used in DOT labels: ``(f⊗f);k`` style."""
-    parts: list[str] = []
-    # Pending items: literal text, or a subterm with the operator above it.
-    stack: list[tuple[Any, str]] = [(term, "")]
-    while stack:
-        t, parent = stack.pop()
-        if isinstance(t, str):
-            parts.append(t)
-        elif isinstance(t, Gen):
-            parts.append(t.name)
-        elif isinstance(t, Id):
-            parts.append(f"id({'·'.join(t.word) or 'ε'})")
-        elif isinstance(t, Perm):
-            parts.append(f"σ{list(t.perm)}")
-        elif isinstance(t, (Compose, Tensor)):
-            op, first, second = (
-                (";", t.first, t.second) if isinstance(t, Compose) else ("⊗", t.left, t.right)
-            )
-            if parent not in ("", op):
-                parts.append("(")
-                stack.append((")", ""))
-            stack += ((second, op), (op, ""), (first, op))
-        else:
-            raise ValidationError(f"not a morphism term: {t!r}")
-    return "".join(parts)
+    return _render(term, _PRETTY, ("(", ")"))
 
 
 # ---------------------------------------------------------------------------
@@ -682,38 +685,32 @@ def _run(args: argparse.Namespace) -> int:
         _print_verdict(verdict)
         return 0 if verdict.passed else 1
 
+    if args.command == "dot":
+        net_sem = _load_net(args.net)
+        _emit(export_dot(net_sem.net, net_sem.fold), args.out)
+        return 0
+
+    # The other commands write the net they build.
     if args.command == "sync":
         net_sem = _load_net(args.net)
         recipe = parse_recipe(_load_json(args.recipe))
         result, _ = synchronize_transitions(net_sem, recipe, args.faithful_bound)
-        _emit(serialize_net(result), args.out)
-        return 0
-
-    if args.command == "identify":
+    elif args.command == "identify":
         net_sem = _load_net(args.net)
         witness = parse_witness(_load_json(args.witness), net_sem.presentation)
         result, _ = identify(net_sem, witness)
-        _emit(serialize_net(result), args.out)
-        return 0
-
-    if args.command == "coproduct":
+    elif args.command == "coproduct":
         left = _load_net(args.left)
         right = _load_net(args.right)
         result, _, _ = monoidal_product(left, right)
-        _emit(serialize_net(result), args.out)
-        return 0
-
-    if args.command == "pushout":
+    elif args.command == "pushout":
         left = _load_net(args.left)
         right = _load_net(args.right)
         witness_net = parse_bare_net(_load_json(args.witness), "witness")
         lmap = parse_functor(_load_json(args.lmap), witness_net.presentation, left.presentation)
         rmap = parse_functor(_load_json(args.rmap), witness_net.presentation, right.presentation)
-        result = pushout_glue(left, right, witness_net, lmap, rmap)
-        _emit(serialize_net(result.net), args.out)
-        return 0
-
-    if args.command == "compose":
+        result = pushout_glue(left, right, witness_net, lmap, rmap).net
+    elif args.command == "compose":
         left = _load_net(args.left)
         right = _load_net(args.right)
         pairing = []
@@ -722,11 +719,8 @@ def _run(args: argparse.Namespace) -> int:
                 raise ParseError(f"--pair must look like LEFT=RIGHT, got {pair!r}")
             lp, rp = pair.split("=", 1)
             pairing.append((lp, rp))
-        result = boundary_compose(left, right, pairing, args.faithful_bound)
-        _emit(serialize_net(result.net), args.out)
-        return 0
-
-    if args.command == "transport":
+        result = boundary_compose(left, right, pairing, args.faithful_bound).net
+    elif args.command == "transport":
         net_sem = _load_net(args.net)
         doc = _load_json(args.functor)
         handle = parse_semantics(_require(doc, "semantics", dict, "functor"))
@@ -734,15 +728,10 @@ def _run(args: argparse.Namespace) -> int:
             raise ValidationError("transport requires a net with a free backend")
         change = parse_fold(doc, net_sem.fold.functor.target, handle)
         result = transport(change, net_sem)
-        _emit(serialize_net(result), args.out)
-        return 0
-
-    if args.command == "dot":
-        net_sem = _load_net(args.net)
-        _emit(export_dot(net_sem.net, net_sem.fold), args.out)
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+    else:
+        raise AssertionError(f"unhandled command {args.command!r}")
+    _emit(serialize_net(result), args.out)
+    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -204,7 +204,7 @@ def fold_term(
 def _concat(first: Sequence, second: Sequence) -> deque:
     """``first + second``, extending the longer operand in place.
 
-    Leaf values are tuples or ranges and become deques on first use, so
+    Leaf values are tuples, ranges or lists and become deques on first use, so
     folding a product of any shape copies each position O(log n) times.
     """
     if len(first) >= len(second):
@@ -267,20 +267,12 @@ def compose_terms(terms: Sequence[MorphismTerm]) -> MorphismTerm:
     """Left-nested sequential composite; a single term is returned as is."""
     if not terms:
         raise ValidationError("cannot compose an empty sequence of terms")
-    out = terms[0]
-    for t in terms[1:]:
-        out = Compose(out, t)
-    return out
+    return reduce(Compose, terms)
 
 
 def tensor_terms(terms: Sequence[MorphismTerm]) -> MorphismTerm:
     """Left-nested monoidal product; the empty product is ``Id(())``."""
-    if not terms:
-        return Id(())
-    out = terms[0]
-    for t in terms[1:]:
-        out = Tensor(out, t)
-    return out
+    return reduce(Tensor, terms) if terms else Id(())
 
 
 def decomposition(t: MorphismTerm) -> frozenset[str]:
@@ -390,66 +382,82 @@ class StringDiagram:
     _key = cached_property(_canonical_key)
 
 
+# Markers on the build stack: a node's two operand values are ready.
+_COMPOSE, _TENSOR = object(), object()
+
+
 def to_diagram(t: MorphismTerm, sig: SmcPresentation) -> StringDiagram:
     """Typecheck a term and build its string diagram in one pass.
 
-    Boxes are numbered by the left-to-right order of ``Gen`` occurrences.
-    Every open end of a fragment is a link; composing two fragments joins
-    each input link of the second to the matching output link of the
-    first through ``alias``, so nothing is copied or renumbered, and
-    interface positions are assigned once, at the root.  A box input or
-    interface output then reads its source from the root of its link.
+    Boxes are numbered by the left-to-right order of ``Gen`` occurrences,
+    and each distinct leaf node is typed once.  Every open end of a
+    fragment is a link.  Composing points each input link of the second
+    operand at the matching output link of the first, laid down earlier,
+    so nothing is copied, and one forward pass at the root resolves every
+    link to its source.
     """
     boxes: list[tuple[str, Word, Word, int]] = []
     letter: list[str] = []
-    source: list[tuple[int, int] | None] = []
-    alias: dict[int, int] = {}
-
-    def find(link: int) -> int:
-        root = link
-        while root in alias:
-            root = alias[root]
-        while link != root:
-            alias[link], link = root, alias[link]
-        return root
-
-    def leaf(node: MorphismTerm) -> tuple[Sequence[int], Sequence[int]]:
-        dom, cod = _leaf_type(node, sig)
-        first = len(letter)
-        if isinstance(node, Gen):
-            b = len(boxes)
-            boxes.append((node.name, dom, cod, first))
-            letter.extend(dom + cod)
-            source.extend([None] * len(dom) + [(b, k) for k in range(len(cod))])
-            middle = first + len(dom)
-            return range(first, middle), range(middle, len(letter))
-        letter.extend(dom)
-        source.extend([None] * len(dom))
-        links = range(first, len(letter))
-        if isinstance(node, Perm):
-            return links, tuple(links[p] for p in node.perm)
-        return links, links
-
-    def compose(first: tuple[Sequence, Sequence], second: tuple[Sequence, Sequence]):
-        _check_composable([letter[x] for x in first[1]], [letter[y] for y in second[0]])
-        for x, y in zip(first[1], second[0]):
-            alias[find(y)] = find(x)
-        return first[0], second[1]
-
-    ins, outs = fold_term(t, leaf, compose, _tensor_ends)
+    # Per link: the earlier link feeding it, its source, or None while open.
+    wire: list = []
+    typed: dict[int, tuple[Word, Word]] = {}
+    values: list[tuple[Sequence[int], Sequence[int]]] = []
+    stack: list[Any] = [t]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Compose:
+            stack += (_COMPOSE, node.second, node.first)
+        elif kind is Tensor:
+            stack += (_TENSOR, node.right, node.left)
+        elif node is _COMPOSE:
+            ins, outs = values.pop()
+            first_ins, first_outs = values[-1]
+            for x, y in zip(first_outs, ins):
+                if letter[x] != letter[y]:
+                    break
+                wire[y] = x
+            else:
+                if len(first_outs) == len(ins):
+                    values[-1] = first_ins, outs
+                    continue
+            _check_composable([letter[x] for x in first_outs], [letter[y] for y in ins])
+        elif node is _TENSOR:
+            right = values.pop()
+            if right[0] or right[1]:
+                left = values[-1]
+                values[-1] = _tensor_ends(left, right) if left[0] or left[1] else right
+        else:
+            if id(node) not in typed:
+                if kind not in (Gen, Id, Perm):
+                    raise ValidationError(f"not a morphism term: {node!r}")
+                typed[id(node)] = _leaf_type(node, sig)
+            dom, cod = typed[id(node)]
+            first = len(wire)
+            ins = range(first, first + len(dom))
+            wire += [None] * len(dom)
+            letter += dom
+            if kind is Gen:
+                boxes.append((node.name, dom, cod, first))
+                values.append((ins, range(len(wire), len(wire) + len(cod))))
+                wire += [(len(boxes) - 1, k) for k in range(len(cod))]
+                letter += cod
+            else:
+                values.append((ins, [first + p for p in node.perm] if kind is Perm else ins))
+    ins, outs = values[0]
     for i, x in enumerate(ins):
-        source[find(x)] = (-1, i)
+        wire[x] = (-1, i)
+    for x, feed in enumerate(wire):
+        if type(feed) is int:
+            wire[x] = wire[feed]
     return StringDiagram(
         boxes=tuple(label for label, _, _, _ in boxes),
         box_doms=tuple(dom for _, dom, _, _ in boxes),
         box_cods=tuple(cod for _, _, cod, _ in boxes),
         inputs=tuple(letter[x] for x in ins),
         outputs=tuple(letter[y] for y in outs),
-        feeds=tuple(
-            tuple(source[find(x)] for x in range(first, first + len(dom)))
-            for _, dom, _, first in boxes
-        ),
-        results=tuple(source[find(y)] for y in outs),
+        feeds=tuple(tuple(wire[first : first + len(dom)]) for _, dom, _, first in boxes),
+        results=tuple(wire[y] for y in outs),
     )
 
 

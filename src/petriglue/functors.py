@@ -268,16 +268,18 @@ def _readback_generators(
 
 def _rigid_through_hidden(d: StringDiagram, visible: set[str]) -> bool:
     """Whether every wire between boxes of ``d`` carries an object outside
-    ``visible``, those wires connect all boxes, no wire joins the two
-    interfaces, and no automorphism moves a box: walks from distinct boxes
-    differ, coding interface ends by one marker, as a splice loses positions."""
+    ``visible``, those wires connect all boxes (the walk from box 0, taken
+    first, reaches them all), no wire joins the two interfaces, and no
+    automorphism moves a box: walks from distinct boxes differ, coding
+    interface ends by one marker, as a splice loses positions."""
     if any(b < 0 for b, _ in d.results):
         return False
     if any(b >= 0 and d.box_cods[b][k] in visible for ends in d.feeds for b, k in ends):
         return False
     blind = [[(b, k if b >= 0 else 0) for b, k in ends] for ends in d.feeds]
-    walks = [tuple(_walk(d, blind, [b])[2]) for b in range(len(d.boxes))]
-    return len(walks[0]) == len(d.boxes) == len(set(walks))
+    walks = (tuple(_walk(d, blind, [b])[2]) for b in range(len(d.boxes)))
+    first = next(walks)
+    return len(first) == len(d.boxes) and len({first, *walks}) == len(d.boxes)
 
 
 def _firing_sequences(

@@ -58,7 +58,6 @@ from .functors import (
     compose_functors,
     identity_functor,
     is_generator_preserving_on_objects,
-    is_injective_on_object_generators,
     is_transition_preserving,
     uncovered_target_generators,
 )
@@ -170,7 +169,8 @@ def _definition_conditions(functor: StrictFunctor, bound: int) -> list[Condition
             )
         )
         return failures
-    if not is_injective_on_object_generators(functor):
+    images = [functor.map_object(obj) for obj in functor.source.objects]
+    if len(set(images)) < len(images):
         failures.append(
             ConditionFailure(
                 "injective_on_object_generators",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import pairwise
 from typing import Iterable, Mapping
 
 from .errors import UnknownGeneratorError, UnknownPlaceError, ValidationError
@@ -207,10 +208,10 @@ def net_of_presentation(sig: SmcPresentation) -> PetriNet:
         Transition(m.name, Multiset.of_word(m.dom), Multiset.of_word(m.cod))
         for m in sig.morphisms
     )
-    rank = sig.object_rank.__getitem__
+    rank = sig.object_rank
     words = [word for m in sig.morphisms for word in (m.dom, m.cod)]
-    cached = {"presentation": sig} if all(list(w) == sorted(w, key=rank) for w in words) else {}
-    return _built(PetriNet, sig.objects, transitions, **cached)
+    ordered = all(rank[a] <= rank[b] for w in words for a, b in pairwise(w))
+    return _built(PetriNet, sig.objects, transitions, **({"presentation": sig} if ordered else {}))
 
 
 def prune_isolated_places(net: PetriNet) -> tuple[PetriNet, tuple[str, ...]]:

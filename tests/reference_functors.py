@@ -18,6 +18,9 @@ mapped it with ``apply_functor`` and folded the image again.  That is
 The tests compare the library's ``check_faithful_bounded`` against all
 three on random small functors; verdicts and certificates must agree.
 
+Before the rigidity test stopped at a walk from box 0 that misses a box,
+it walked from every box first.  That is :func:`rigid_by_every_walk`.
+
 :func:`small_diagram_collapses` is a brute force, not an earlier design:
 it maps every diagram of at most two boxes and reports the collapses,
 so no diagram over readback generators alone may appear in one.
@@ -44,6 +47,7 @@ from petriglue.fssmc import (
     Perm,
     StringDiagram,
     Tensor,
+    _walk,
     apply_perm,
     block_permutation,
     compose_terms,
@@ -214,6 +218,18 @@ def image_diagrams(functor: StrictFunctor) -> dict[str, StringDiagram]:
         gen.name: to_diagram(functor.morphism_map[gen.name], functor.target)
         for gen in functor.source.morphisms
     }
+
+
+def rigid_by_every_walk(d: StringDiagram, visible: set[str]) -> bool:
+    """``functors._rigid_through_hidden`` with a walk from every box taken
+    before any verdict."""
+    if any(b < 0 for b, _ in d.results):
+        return False
+    if any(b >= 0 and d.box_cods[b][k] in visible for ends in d.feeds for b, k in ends):
+        return False
+    blind = [[(b, k if b >= 0 else 0) for b, k in ends] for ends in d.feeds]
+    walks = [tuple(_walk(d, blind, [b])[2]) for b in range(len(d.boxes))]
+    return len(walks[0]) == len(d.boxes) == len(set(walks))
 
 
 def relabelled_generators(functor: StrictFunctor) -> frozenset[str]:

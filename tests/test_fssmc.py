@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+import petriglue.fssmc
 from petriglue import (
     BadPermutationError,
     Compose,
@@ -28,8 +29,14 @@ from petriglue import (
     to_diagram,
     typecheck,
 )
-from petriglue.cli_io import parse_term
-from petriglue.fssmc import alignment_permutation, apply_perm, compose_terms, invert_perm
+from petriglue.cli_io import parse_term, pretty_term, term_to_text
+from petriglue.fssmc import (
+    alignment_permutation,
+    apply_perm,
+    compose_terms,
+    fold_term,
+    invert_perm,
+)
 import reference_fssmc
 from support import (
     diagram_from_wires,
@@ -355,6 +362,100 @@ class TestWiringOracle:
             assert wires(diagram) == frozenset(
                 (("in", expected[j]), ("out", j)) for j in range(len(expected))
             )
+
+
+F_LOOP = SmcPresentation(("A",), (MorphismGenerator("f", ("A",), ("A",)),))
+BAD_LEAVES = (Gen("nope"), Id(("Z",)), Id(("A", "A")))
+
+
+def fresh_leaves(term):
+    """``term`` with every leaf rebuilt as its own node."""
+    return fold_term(term, replace, Compose, Tensor)
+
+
+def leaf_nodes(term) -> list:
+    return fold_term(term, lambda node: [node], list.__add__, list.__add__)
+
+
+class TestTermKernel:
+    """``to_diagram`` types each distinct leaf node once, in its own loop."""
+
+    def test_shared_and_fresh_leaves_match_the_reference(self):
+        """Random terms, well typed or not, build the reference's diagram or
+        raise the reference's first error in post-order, whether equal
+        leaves are one node (as parsed) or each rebuilt."""
+        rng = random.Random(28)
+        built = failed = 0
+        for _ in range(600):
+            term = random_term(rng, SIG, rng.randint(1, 10))
+            roll = rng.random()
+            if roll < 0.3:
+                term = Compose(term, random_term(rng, SIG, rng.randint(1, 6)))
+            elif roll < 0.5:
+                bad = rng.choice(BAD_LEAVES)
+                term = rng.choice([Compose, Tensor])(*rng.sample([term, bad], 2))
+            shared = parse_term(term_to_text(term))
+            got = outcome(to_diagram, shared, SIG)
+            assert got == outcome(to_diagram, fresh_leaves(term), SIG)
+            assert got == outcome(to_diagram, term, SIG)
+            typed = outcome(reference_fssmc.typecheck, term, SIG)
+            if isinstance(typed[0], type):
+                assert got == typed
+                failed += 1
+            else:
+                assert got == reference_fssmc.to_diagram(term, SIG)
+                built += 1
+        assert built > 300 and failed > 100, (built, failed)
+
+    def test_mismatch_before_unknown_generator_raises_the_mismatch(self):
+        """``q;q`` fails before the unknown ``nope`` is reached in post-order."""
+        message = "cannot compose: left codomain ('A',) != right domain ('A', 'B')"
+        term = Compose(Compose(Gen("q"), Gen("q")), Gen("nope"))
+        for t in (term, parse_term(term_to_text(term))):
+            with pytest.raises(TypeMismatchError) as error:
+                to_diagram(t, P_Q)
+            assert str(error.value) == message
+            assert outcome(to_diagram, t, P_Q) == outcome(reference_fssmc.typecheck, t, P_Q)
+        first = Compose(Gen("nope"), Compose(Gen("q"), Gen("q")))
+        with pytest.raises(UnknownGeneratorError, match="'nope'"):
+            to_diagram(first, P_Q)
+
+    @pytest.mark.parametrize("term", [Compose(0, Gen("f")), Tensor(Gen("f"), "x")])
+    def test_non_terms_are_rejected(self, term):
+        for function in (
+            lambda t: to_diagram(t, F_LOOP), lambda t: typecheck(t, F_LOOP), term_to_text, pretty_term
+        ):
+            with pytest.raises(ValidationError, match="not a morphism term"):
+                function(term)
+
+    def test_each_distinct_leaf_node_is_typed_once(self, monkeypatch):
+        """A parsed 100-step chain of width 3 has 300 leaves and 5 distinct
+        leaf texts: ``_leaf_type`` runs 5 times, and 300 times on a copy
+        whose leaves are all rebuilt."""
+        sig = SmcPresentation(
+            ("W",), tuple(MorphismGenerator(f"g{i}", ("W",), ("W",)) for i in range(2))
+        )
+        ids = ["id([])", "id([W])", "id([W,W])"]
+        steps = [f"ten(ten({ids[i % 3]},gen(g{i % 2})),{ids[2 - i % 3]})" for i in range(100)]
+        text = steps[0]
+        for step in steps[1:]:
+            text = f"comp({text},{step})"
+        term = parse_term(text)
+        leaves = leaf_nodes(term)
+        assert len(leaves) == 300 and len({id(node) for node in leaves}) == 5
+        leaf_type = petriglue.fssmc._leaf_type
+        calls = [0]
+
+        def counting_leaf_type(*args):
+            calls[0] += 1
+            return leaf_type(*args)
+
+        monkeypatch.setattr(petriglue.fssmc, "_leaf_type", counting_leaf_type)
+        shared = to_diagram(term, sig)
+        assert calls[0] == 5
+        assert to_diagram(fresh_leaves(term), sig) == shared
+        assert calls[0] == 5 + 300
+        assert len(shared.boxes) == 100
 
 
 DEPTH = 100_000

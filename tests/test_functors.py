@@ -34,12 +34,14 @@ from petriglue import (
     typecheck,
     uncovered_target_generators,
 )
+import petriglue.functors
 from petriglue.errors import BudgetExceededError
 from petriglue.fssmc import Tensor, compose_terms, identity_perm
 from petriglue.functors import (
     _canonical_firing_term,
     _firing_sequences,
     _readback_generators,
+    _rigid_through_hidden,
     _spliced_diagram,
 )
 from support import (
@@ -973,6 +975,61 @@ class TestReadbackAgainstBruteForce:
         certified, collapsing = self.check(random_relabelling_functor, 95, 12)
         more, found = self.check(random_small_functor, 96, 12)
         assert certified + more > 8 and collapsing + found > 2, (certified, more, collapsing, found)
+
+
+class TestRigidityStopsEarly:
+    """``_rigid_through_hidden`` walks from box 0 first and stops there when
+    that walk misses a box; the verdicts are those of a walk from every box
+    (``reference_functors.rigid_by_every_walk``)."""
+
+    SPLIT = SmcPresentation(
+        ("A", "A2", "B", "X", "Y"),
+        (
+            MorphismGenerator("p", ("A",), ("B",)),
+            MorphismGenerator("q", ("A2",), ("B",)),
+            MorphismGenerator("c", ("B",), ("X",)),
+            MorphismGenerator("d", ("B",), ("Y",)),
+        ),
+    )
+    VISIBLE = {"A", "A2", "X", "Y"}
+
+    def walks(self, monkeypatch, term) -> tuple[bool, int]:
+        d = to_diagram(term, self.SPLIT)
+        walk = petriglue.functors._walk
+        calls = [0]
+
+        def counting_walk(*args):
+            calls[0] += 1
+            return walk(*args)
+
+        monkeypatch.setattr(petriglue.functors, "_walk", counting_walk)
+        verdict = _rigid_through_hidden(d, self.VISIBLE)
+        assert verdict == reference.rigid_by_every_walk(d, self.VISIBLE)
+        return verdict, calls[0]
+
+    def test_split_image_takes_one_walk(self, monkeypatch):
+        """A split event's image, ``p;c`` beside ``q;d``, is two components
+        of the hidden ``B``: the walk from box 0 misses two of four boxes."""
+        split = Tensor(Compose(Gen("p"), Gen("c")), Compose(Gen("q"), Gen("d")))
+        assert self.walks(monkeypatch, split) == (False, 1)
+
+    def test_connected_image_walks_from_every_box(self, monkeypatch):
+        assert self.walks(monkeypatch, Compose(Gen("p"), Gen("c"))) == (True, 2)
+
+    def test_random_verdicts_match_the_walk_from_every_box(self):
+        rng = random.Random(4)
+        checked = rigid = 0
+        for _ in range(400):
+            sig = random_presentation(rng) if rng.random() < 0.5 else SIG
+            d = to_diagram(random_term(rng, sig, rng.randint(1, 8)), sig)
+            if not d.boxes:
+                continue
+            visible = {o for o in sig.objects if rng.random() < 0.5}
+            verdict = _rigid_through_hidden(d, visible)
+            assert verdict == reference.rigid_by_every_walk(d, visible), (d, visible)
+            checked += 1
+            rigid += verdict
+        assert checked > 200 and rigid > 10, (checked, rigid)
 
 
 class TestFiringSequences:

@@ -1415,6 +1415,33 @@ def k_boundary_pair(k: int) -> tuple[NetWithSemantics, NetWithSemantics, list[tu
     return side("IX", steps[:k]), side("XO", steps[k:]), [(f"X{i}", f"X{i}") for i in range(k)]
 
 
+class TestDefinitionConditions:
+    def test_one_object_check_per_compose_step(self, monkeypatch):
+        """Each synchronization step decides "places go to places" once: the
+        injectivity condition reads the images without deciding it again."""
+        left, right, pairing = k_boundary_pair(4)
+        check = petriglue.gluing.is_generator_preserving_on_objects
+        conditions = petriglue.gluing._definition_conditions
+        calls = [0]
+        per_step: list[int] = []
+
+        def counting_check(functor):
+            calls[0] += 1
+            return check(functor)
+
+        def counting_conditions(functor, bound):
+            before = calls[0]
+            failures = conditions(functor, bound)
+            per_step.append(calls[0] - before)
+            return failures
+
+        for module in (petriglue.gluing, petriglue.functors):
+            monkeypatch.setattr(module, "is_generator_preserving_on_objects", counting_check)
+        monkeypatch.setattr(petriglue.gluing, "_definition_conditions", counting_conditions)
+        boundary_compose(left, right, pairing)
+        assert per_step == [1, 1, 1, 1]
+
+
 class TestBoundaryComposeSkipsRelabelledSequences:
     def test_each_step_builds_only_sequences_with_its_new_transition(self, monkeypatch):
         """Every sync step's functor reads back whole: survivors are

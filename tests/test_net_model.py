@@ -106,7 +106,9 @@ class TestNetOfPresentation:
 
     def test_fig1_exact(self):
         n = fig1_net()
-        assert net_of_presentation(free_smc(n)) == n
+        sig = free_smc(n)
+        assert net_of_presentation(sig) == n
+        assert vars(net_of_presentation(sig))["presentation"] is sig
 
     def test_unsorted_word_forgotten(self):
         sig = SmcPresentation(
@@ -114,6 +116,17 @@ class TestNetOfPresentation:
         )
         n = net_of_presentation(sig)
         assert n.transition("t").pre.to_dict() == {"A": 2, "C": 1}
+        # An unsorted word is not the net's own: no presentation is seeded.
+        assert "presentation" not in vars(n)
+        assert n.presentation.morphism("t").dom == ("A", "A", "C")
+
+    @pytest.mark.parametrize("word", [("A", "C", "A"), ("A", "A", "C", "A"), ("C", "A")])
+    def test_any_unsorted_pair_seeds_nothing(self, word):
+        sig = SmcPresentation(
+            ("A", "C"),
+            (MorphismGenerator("s", ("A", "C"), ("C",)), MorphismGenerator("t", (), word)),
+        )
+        assert "presentation" not in vars(net_of_presentation(sig))
 
     @given(nets())
     def test_presentation_round_trip_sorts(self, n):
