@@ -369,6 +369,8 @@ def semantics_to_doc(handle: SemanticsHandle) -> dict:
 
 def parse_fold(doc: Any, source: SmcPresentation, handle: SemanticsHandle) -> Fold:
     if isinstance(handle, Terminal):
+        if not isinstance(doc, dict):
+            raise ParseError("fold: expected an object")
         return TerminalFold(source)
     if isinstance(handle, Product):
         return PairFold(
@@ -485,25 +487,17 @@ def _quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _sem_object_label(value: object) -> str:
-    if value is None:
-        return "•"
-    if isinstance(value, tuple) and value and all(isinstance(x, str) for x in value):
-        return "·".join(value)
-    if isinstance(value, tuple) and len(value) == 2:
-        return f"⟨{_sem_object_label(value[0])},{_sem_object_label(value[1])}⟩"
-    if isinstance(value, tuple) and not value:
-        return "ε"
-    return str(value)
-
-
-def _sem_morphism_label(value: object) -> str:
+def _sem_label(value: object) -> str:
     if value is None:
         return "•"
     if isinstance(value, MorphismTerm):
         return pretty_term(value)
+    if isinstance(value, tuple) and value and all(isinstance(x, str) for x in value):
+        return "·".join(value)
     if isinstance(value, tuple) and len(value) == 2:
-        return f"⟨{_sem_morphism_label(value[0])},{_sem_morphism_label(value[1])}⟩"
+        return f"⟨{_sem_label(value[0])},{_sem_label(value[1])}⟩"
+    if isinstance(value, tuple) and not value:
+        return "ε"
     return str(value)
 
 
@@ -518,29 +512,23 @@ def export_dot(net: PetriNet, fold: Fold | None = None) -> str:
     for place in net.places:
         label = place
         if fold is not None:
-            label = f"{place} : {_sem_object_label(fold.object_image(place))}"
+            label = f"{place} : {_sem_label(fold.object_image(place))}"
         lines.append(f"  {_quote('place:' + place)} [shape=circle, label={_quote(label)}];")
     for t in net.transitions:
         label = t.name
         if fold is not None:
-            label = f"{t.name} : {_sem_morphism_label(fold.morphism_image(t.name))}"
+            label = f"{t.name} : {_sem_label(fold.morphism_image(t.name))}"
         lines.append(f"  {_quote('trans:' + t.name)} [shape=box, label={_quote(label)}];")
     for t in net.transitions:
-        pre, post = t.pre.to_dict(), t.post.to_dict()
-        for place in net.places:
-            count = pre.get(place, 0)
-            if count:
-                suffix = f" [label=\"{count}\"]" if count > 1 else ""
-                lines.append(
-                    f"  {_quote('place:' + place)} -> {_quote('trans:' + t.name)}{suffix};"
-                )
-        for place in net.places:
-            count = post.get(place, 0)
-            if count:
-                suffix = f" [label=\"{count}\"]" if count > 1 else ""
-                lines.append(
-                    f"  {_quote('trans:' + t.name)} -> {_quote('place:' + place)}{suffix};"
-                )
+        node = _quote("trans:" + t.name)
+        for counts, into in ((t.pre.to_dict(), True), (t.post.to_dict(), False)):
+            for place in net.places:
+                count = counts.get(place, 0)
+                if count:
+                    ends = (_quote("place:" + place), node)
+                    tail, head = ends if into else ends[::-1]
+                    suffix = f" [label=\"{count}\"]" if count > 1 else ""
+                    lines.append(f"  {tail} -> {head}{suffix};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     BoundaryOrientationError,
@@ -337,35 +337,7 @@ def _coequalize(first: StrictFunctor, second: StrictFunctor) -> tuple[SmcPresent
         (right_gen,) = decomposition(second.morphism_map[gen.name])
         morphisms.union(left_gen, right_gen)
 
-    quotient_objects = tuple(o for o in target.objects if objects.find(o) == o)
-
-    def class_word(word: Word) -> Word:
-        return tuple(objects.find(letter) for letter in word)
-
-    # Classes are named by their order-minimal member, so the target's
-    # rank orders class names as the quotient does, and each class's
-    # name comes before its other members.
-    rank = target.object_rank.__getitem__
-    quotient_morphisms: list[MorphismGenerator] = []
-    boundaries: dict[str, tuple[Word, Word]] = {}
-    morphism_map: dict[str, MorphismTerm] = {}
-    for gen in target.morphisms:
-        rep = morphisms.find(gen.name)
-        dom, cod = class_word(gen.dom), class_word(gen.cod)
-        sorted_boundaries = (tuple(sorted(dom, key=rank)), tuple(sorted(cod, key=rank)))
-        if rep == gen.name:
-            quotient_morphisms.append(MorphismGenerator(rep, *sorted_boundaries))
-            boundaries[rep] = sorted_boundaries
-        elif boundaries[rep] != sorted_boundaries:
-            raise PreconditionFailedError(
-                f"the functors merge {gen.name!r} into {rep!r}, whose boundaries "
-                "differ; the coequalizer of this pair is not a free quotient of "
-                "the target"
-            )
-        morphism_map[gen.name] = _conjugate(Gen(rep), *boundaries[rep], dom, cod)
-    quotient = SmcPresentation(quotient_objects, tuple(quotient_morphisms))
-    object_map = {o: (objects.find(o),) for o in target.objects}
-    coequalizer = _built(StrictFunctor, target, quotient, object_map, morphism_map)
+    quotient, coequalizer = _quotient(target, objects.find, morphisms.find)
     for gen in first.source.morphisms:
         left_image = apply_functor(coequalizer, first.morphism_map[gen.name])
         right_image = apply_functor(coequalizer, second.morphism_map[gen.name])
@@ -378,56 +350,64 @@ def _coequalize(first: StrictFunctor, second: StrictFunctor) -> tuple[SmcPresent
     return quotient, coequalizer
 
 
+def _quotient(
+    target: SmcPresentation, object_class: Callable[[str], str], morphism_class: Callable[[str], str]
+) -> tuple[SmcPresentation, StrictFunctor]:
+    """Quotient of ``target`` by generator classes, and the quotient functor.
+
+    Each class is named by a member, a morphism class by its first member
+    in ``target``.  Class boundaries are sorted by the target's object
+    order, and each image wraps its class in the symmetries back to its
+    own class words; a member whose sorted boundaries differ is refused.
+    """
+    rank = target.object_rank.__getitem__
+    boundaries: dict[str, tuple[Word, Word]] = {}
+    morphism_map: dict[str, MorphismTerm] = {}
+    for gen in target.morphisms:
+        rep = morphism_class(gen.name)
+        dom, cod = tuple(map(object_class, gen.dom)), tuple(map(object_class, gen.cod))
+        sorted_boundaries = (tuple(sorted(dom, key=rank)), tuple(sorted(cod, key=rank)))
+        if rep == gen.name:
+            boundaries[rep] = sorted_boundaries
+        elif boundaries[rep] != sorted_boundaries:
+            raise PreconditionFailedError(
+                f"the functors merge {gen.name!r} into {rep!r}, whose boundaries "
+                "differ; the coequalizer of this pair is not a free quotient of "
+                "the target"
+            )
+        morphism_map[gen.name] = _conjugate(Gen(rep), *boundaries[rep], dom, cod)
+    object_map = {o: (object_class(o),) for o in target.objects}
+    quotient_objects = tuple(o for o, (cls,) in object_map.items() if cls == o)
+    morphisms = tuple(MorphismGenerator(rep, *words) for rep, words in boundaries.items())
+    quotient = SmcPresentation(quotient_objects, morphisms)
+    return quotient, _built(StrictFunctor, target, quotient, object_map, morphism_map)
+
+
 def merge_two_places(
     sig: SmcPresentation, keep: str, drop: str
 ) -> tuple[SmcPresentation, StrictFunctor]:
     """Identify two places directly: drop one, rename its occurrences.
 
-    Agrees with :func:`coequalize_tp` on the one-place witness up to
-    presentation isomorphism.
+    The quotient :func:`coequalize_tp` builds for the one-place witness,
+    with the class named ``keep``.
     """
     if keep == drop:
         raise SamePlaceError("cannot merge a place with itself")
     for name in (keep, drop):
         if name not in sig.object_rank:
             raise UnknownGeneratorError(f"unknown object generator {name!r}")
-
-    objects = tuple(o for o in sig.objects if o != drop)
-    rank = sig.object_rank.__getitem__
-
-    def substitute(word: Word) -> Word:
-        return tuple(keep if letter == drop else letter for letter in word)
-
-    generators: list[MorphismGenerator] = []
-    morphism_map: dict[str, MorphismTerm] = {}
-    for gen in sig.morphisms:
-        dom_sub = substitute(gen.dom)
-        cod_sub = substitute(gen.cod)
-        dom_sorted = tuple(sorted(dom_sub, key=rank))
-        cod_sorted = tuple(sorted(cod_sub, key=rank))
-        generators.append(MorphismGenerator(gen.name, dom_sorted, cod_sorted))
-        morphism_map[gen.name] = _conjugate(
-            Gen(gen.name), dom_sorted, cod_sorted, dom_sub, cod_sub
-        )
-    merged = SmcPresentation(objects, tuple(generators))
-    functor = StrictFunctor(
-        source=sig,
-        target=merged,
-        object_map={o: (keep,) if o == drop else (o,) for o in sig.objects},
-        morphism_map=morphism_map,
-    )
-    return merged, functor
+    return _quotient(sig, lambda o: keep if o == drop else o, lambda m: m)
 
 
 def factor_fold_through_coequalizer(coequalizer: StrictFunctor, fold: Fold) -> Fold:
     """Induce a fold on the quotient, checking it is single-valued.
 
-    The coequalizer must name each class by its order-minimal member, as
-    :func:`coequalize_tp` does: quotient generator ``q`` then stands for
-    the source generator of the same name.  It takes that generator's
-    fold image, conjugated by the block symmetries of the stable sort
-    of its class boundaries; all other members must agree up to backend
-    equality.
+    Each morphism class must be named by one of its members, as it is in
+    :func:`coequalize_tp` (the order-minimal one) and
+    :func:`merge_two_places` (``keep``): quotient generator ``q`` then
+    stands for the source generator of the same name.  It takes its fold
+    image, conjugated by the block symmetries of the stable sort of its
+    class boundaries; all other members must agree up to backend equality.
     """
     if coequalizer.source != fold.source:
         raise SourceMismatchError("fold is not defined on the coequalizer's source")

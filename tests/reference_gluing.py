@@ -1,5 +1,11 @@
-"""Chained two-place merges, the induced fold that found its classes by
-scanning, and the exhaustive firing-vector search, kept as oracles.
+"""Two-place merges and chains of them, the induced fold that found its
+classes by scanning, and the exhaustive firing-vector search, kept as
+oracles.
+
+``merge_two_places`` substituted, re-sorted and conjugated every word
+itself and validated the functor it built; the library now builds that
+quotient through the coequalizer's builder, and the tests require equal
+presentations and functors, or the same error, from both.
 
 Before every witness went through the coequalizer, ``identify`` handled
 a witness without transitions by composing one ``merge_two_places`` per
@@ -59,19 +65,20 @@ from petriglue import (
     PetriGlueError,
     PreconditionFailedError,
     SemanticsMismatchError,
+    SamePlaceError,
     SemanticsObstructionError,
     SmcPresentation,
     SourceMismatchError,
     StrictFunctor,
     SyncRecipe,
     TerminalFold,
+    UnknownGeneratorError,
     UnknownPlaceError,
     ValidationError,
     WellDefinednessError,
     Witness,
     compose_functors,
     identity_functor,
-    merge_two_places,
     net_of_presentation,
     pushout_glue,
     sem_equal,
@@ -83,6 +90,7 @@ from petriglue.fssmc import (
     Id,
     MorphismTerm,
     Tensor,
+    alignment_permutation,
     apply_perm,
     block_permutation,
     compose_terms,
@@ -92,6 +100,60 @@ from petriglue.fssmc import (
     tensor_terms,
 )
 from petriglue.net_model import Multiset, Transition, Word
+
+
+def _conjugate(
+    core: MorphismTerm,
+    core_dom: Word,
+    core_cod: Word,
+    outer_dom: Word,
+    outer_cod: Word,
+) -> MorphismTerm:
+    """Wrap a term in the symmetries matching it to the outer boundaries."""
+    parts: list[MorphismTerm] = []
+    if outer_dom != core_dom:
+        parts.append(Perm(outer_dom, alignment_permutation(outer_dom, core_dom)))
+    parts.append(core)
+    if core_cod != outer_cod:
+        parts.append(Perm(core_cod, alignment_permutation(core_cod, outer_cod)))
+    return compose_terms(parts)
+
+
+def merge_two_places(
+    sig: SmcPresentation, keep: str, drop: str
+) -> tuple[SmcPresentation, StrictFunctor]:
+    """Identify two places directly: drop one, rename its occurrences."""
+    if keep == drop:
+        raise SamePlaceError("cannot merge a place with itself")
+    for name in (keep, drop):
+        if name not in sig.object_rank:
+            raise UnknownGeneratorError(f"unknown object generator {name!r}")
+
+    objects = tuple(o for o in sig.objects if o != drop)
+    rank = sig.object_rank.__getitem__
+
+    def substitute(word: Word) -> Word:
+        return tuple(keep if letter == drop else letter for letter in word)
+
+    generators: list[MorphismGenerator] = []
+    morphism_map: dict[str, MorphismTerm] = {}
+    for gen in sig.morphisms:
+        dom_sub = substitute(gen.dom)
+        cod_sub = substitute(gen.cod)
+        dom_sorted = tuple(sorted(dom_sub, key=rank))
+        cod_sorted = tuple(sorted(cod_sub, key=rank))
+        generators.append(MorphismGenerator(gen.name, dom_sorted, cod_sorted))
+        morphism_map[gen.name] = _conjugate(
+            Gen(gen.name), dom_sorted, cod_sorted, dom_sub, cod_sub
+        )
+    merged = SmcPresentation(objects, tuple(generators))
+    functor = StrictFunctor(
+        source=sig,
+        target=merged,
+        object_map={o: (keep,) if o == drop else (o,) for o in sig.objects},
+        morphism_map=morphism_map,
+    )
+    return merged, functor
 
 
 def _sequential_merge(

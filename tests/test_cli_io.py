@@ -819,6 +819,19 @@ ERROR_PATHS = {
         )],
         2, "", "error: transition names must be pairwise distinct\n",
     ),
+    "validate-terminal-fold-not-an-object": (
+        lambda tmp: ["validate", _written(tmp, "junk-fold", {
+            "places": ["A"], "transitions": [], "semantics": {"backend": "terminal"},
+            "fold": [1, 2, 3],
+        })],
+        2, "", "error: fold: expected an object\n",
+    ),
+    "validate-free-fold-not-an-object": (
+        lambda tmp: ["validate", _fixture_variant(
+            tmp, "fig1", lambda doc: doc.update(fold=[1, 2, 3])
+        )],
+        2, "", "error: fold: missing key 'objects'\n",
+    ),
     "validate-duplicate-semantics-object": (
         lambda tmp: ["validate", _fixture_variant(
             tmp, "fig1", lambda doc: doc["semantics"]["objects"].append("A")

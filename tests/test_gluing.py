@@ -34,6 +34,7 @@ from petriglue import (
     Tensor,
     TerminalFold,
     Transition,
+    UnknownGeneratorError,
     ValidationError,
     VerdictFailedError,
     WellDefinednessError,
@@ -86,6 +87,7 @@ from support import (
     o_n_witness_functor,
     outcome,
     random_net,
+    random_presentation,
     random_tp_pair,
 )
 
@@ -322,6 +324,56 @@ class TestMergeTwoPlaces:
             right = o_n_witness_functor(witness_net, sig, {"o": drop})
             quotient, _ = coequalize_tp(left, right)
             assert presentations_isomorphic(merged, quotient)
+
+    def test_matches_the_reference_merge(self):
+        """The merge built through the coequalizer's builder equals the old
+        substitute-and-sort merge, with ``keep`` before or after ``drop``."""
+        rng = random.Random(53)
+        keep_first = []
+        for _ in range(300):
+            sig = random_presentation(rng, max_objects=4, max_morphisms=4)
+            if len(sig.objects) < 2:
+                continue
+            keep, drop = rng.sample(sig.objects, 2)
+            keep_first.append(sig.object_rank[keep] < sig.object_rank[drop])
+            expected = reference_gluing.merge_two_places(sig, keep, drop)
+            assert merge_two_places(sig, keep, drop) == expected
+        assert keep_first.count(True) >= 50 and keep_first.count(False) >= 50
+
+    @pytest.mark.parametrize(
+        "keep, drop", [("A", "A"), ("A", "Z"), ("Z", "A")], ids=["same", "drop", "keep"]
+    )
+    def test_errors_match_the_reference_merge(self, keep, drop):
+        sig = fig5a_nws().presentation
+        error = outcome(merge_two_places, sig, keep, drop)
+        assert error == outcome(reference_gluing.merge_two_places, sig, keep, drop)
+        assert error[0] in (SamePlaceError, UnknownGeneratorError)
+
+
+class TestOneQuotientBuilder:
+    """Every identification builds its quotient in ``gluing._quotient``."""
+
+    @pytest.mark.parametrize(
+        "witness_file", ["witness-fig5a-places.json", "witness-fig5a-transitions.json"]
+    )
+    def test_one_builder_call_per_identification(self, monkeypatch, witness_file):
+        fig5 = parse_net((FIXTURES / "fig5a.json").read_text())
+        doc = json.loads((FIXTURES / witness_file).read_text())
+        witness = parse_witness(doc, fig5.presentation)
+        built = []
+        original = petriglue.gluing._quotient
+
+        def counting(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(petriglue.gluing, "_quotient", counting)
+        merged, merge = merge_two_places(fig5.presentation, "C1", "C2")
+        assert len(built) == 1 and built[-1][1] is merge and merge.target is merged
+        quotient, coequalizer = coequalize_tp(witness.left, witness.right)
+        assert len(built) == 2 and built[-1][1] is coequalizer
+        result, identified = identify(fig5, witness)
+        assert len(built) == 3 and built[-1][1] is identified
 
 
 class TestWitnessPreconditions:
@@ -1998,7 +2050,7 @@ class TestBuiltWithoutChecks:
     """
 
     FUNCTOR_SITES = {
-        "net_coproduct", "_copair_folds", "compose_functors", "_coequalize",
+        "net_coproduct", "_copair_folds", "compose_functors", "_quotient",
         "factor_fold_through_coequalizer", "identity_functor",
         "synchronize_transitions", "boundary_compose",
     }
@@ -2055,6 +2107,12 @@ class TestBuiltWithoutChecks:
                 coequalized = outcome(coequalize_tp, first, second)
                 if len(coequalized) == 2 and isinstance(coequalized[1], StrictFunctor):
                     outcome(factor_fold_through_coequalizer, coequalized[1], fold)
+        merges = 0
+        while merges < 20:
+            sig = random_presentation(rng, max_objects=4, max_morphisms=4)
+            if len(sig.objects) > 1:
+                merge_two_places(sig, *rng.sample(sig.objects, 2))
+                merges += 1
 
     @staticmethod
     def by_site(built, kind) -> dict[str, list]:
