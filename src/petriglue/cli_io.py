@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import re
 import sys
@@ -69,6 +70,7 @@ from .semantics import (
 
 _NAME = r"[^\s()\[\],]+"
 _TOKEN = re.compile(rf"[()\[\],]|{_NAME}")
+_TERM_NAME = re.compile(_NAME)
 # A bracketed name list; the names are captured by the group named by format().
 _NAMES = rf"\[\s*(?P<{{}}>(?:{_NAME}\s*(?:,\s*{_NAME}\s*)*)?)\]"
 
@@ -278,14 +280,25 @@ def _counts(doc: Any, where: str) -> Multiset:
     return Multiset.from_counts(doc)
 
 
+def _term_names(names: Sequence[str], kind: str, where: str) -> Sequence[str]:
+    """``names``, unless one cannot be read back from term text as a NAME."""
+    for name in itertools.filterfalse(_TERM_NAME.fullmatch, names):
+        raise ValidationError(
+            f"{where}: {kind} name {name!r} is not a term NAME: it must be "
+            "nonempty, without whitespace or any of ()[],"
+        )
+    return names
+
+
 def parse_bare_net(doc: Any, where: str = "net") -> PetriNet:
-    places = _names(doc, "places", where)
+    places = _term_names(_names(doc, "places", where), "place", where)
     transitions = []
     for i, tdoc in enumerate(_require(doc, "transitions", list, where)):
         name = _require(tdoc, "name", str, f"{where}.transitions[{i}]")
         pre = _counts(_require(tdoc, "pre", dict, f"{where}.transitions[{i}]"), f"{where}.{name}.pre")
         post = _counts(_require(tdoc, "post", dict, f"{where}.transitions[{i}]"), f"{where}.{name}.post")
         transitions.append(Transition(name, pre, post))
+    _term_names([t.name for t in transitions], "transition", where)
     return PetriNet(places, tuple(transitions))
 
 
@@ -328,13 +341,7 @@ def _parse_semantics(doc: Any, depth: int) -> SemanticsHandle:
                 "presentations with equations are not supported: "
                 "their word problem is undecidable"
             )
-        objects = _names(doc, "objects", "semantics")
-        for name in objects:
-            if not re.fullmatch(_NAME, name):
-                raise ValidationError(
-                    f"semantics: object name {name!r} is not a term NAME: it must be "
-                    "nonempty, without whitespace or any of ()[],"
-                )
+        objects = _term_names(_names(doc, "objects", "semantics"), "object", "semantics")
         morphisms = []
         for i, mdoc in enumerate(_require(doc, "morphisms", list, "semantics")):
             morphisms.append(
@@ -344,6 +351,7 @@ def _parse_semantics(doc: Any, depth: int) -> SemanticsHandle:
                     _names(mdoc, "cod", f"semantics.morphisms[{i}]"),
                 )
             )
+        _term_names([m.name for m in morphisms], "morphism", "semantics")
         return FreeSmc(SmcPresentation(objects, tuple(morphisms)))
     raise ParseError(f"semantics: unknown backend {backend!r}")
 
@@ -474,7 +482,7 @@ def parse_witness(doc: Any, target: SmcPresentation) -> Witness:
 
 def parse_recipe(doc: Any) -> SyncRecipe:
     return SyncRecipe(
-        new_name=_require(doc, "name", str, "recipe"),
+        new_name=_term_names([_require(doc, "name", str, "recipe")], "transition", "recipe")[0],
         expression=parse_term(_require(doc, "expression", str, "recipe")),
         prune=_require(doc, "prune", bool, "recipe") if "prune" in doc else False,
     )

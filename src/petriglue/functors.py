@@ -28,7 +28,6 @@ from .fssmc import (
     StringDiagram,
     Tensor,
     _walk,
-    apply_perm,
     block_permutation,
     compose_terms,
     decomposition,
@@ -208,36 +207,6 @@ def _leftmost_route(current: Sequence[str], dom: Word) -> tuple[list[int], list[
     return chosen, [i for i, letter in enumerate(free) if letter is not None]
 
 
-def _canonical_firing_term(
-    sig: SmcPresentation, sequence: Sequence[str]
-) -> tuple[Word, Word, MorphismTerm]:
-    """Build the canonical term firing ``sequence`` from its minimal marking.
-
-    Tokens are routed with leftmost-occurrence symmetries, and the term
-    ends with the canonical sort of the final word, so its boundaries are
-    the order-sorted ones of :func:`_firing_boundary`.  Only certificates
-    are built as terms; the search splices the same diagrams directly.
-    """
-    word, _ = _firing_boundary(sig, sequence)
-    steps: list[MorphismTerm] = []
-    current = word
-    for name in sequence:
-        gen = sig.morphism(name)
-        chosen, rest = _leftmost_route(current, gen.dom)
-        route = tuple(chosen + rest)
-        if route != identity_perm(len(current)):
-            steps.append(Perm(current, route))
-        rest_word = tuple(current[i] for i in rest)
-        steps.append(Gen(name) if not rest_word else Tensor(Gen(name), Id(rest_word)))
-        current = gen.cod + rest_word
-
-    sort = sorting_permutation(current, sig.object_rank)
-    if sort != identity_perm(len(current)):
-        steps.append(Perm(current, sort))
-        current = apply_perm(current, sort)
-    return word, current, compose_terms(steps) if steps else Id(word)
-
-
 def _readback_generators(
     functor: StrictFunctor, images: Mapping[str, StringDiagram]
 ) -> frozenset[str]:
@@ -270,16 +239,19 @@ def _rigid_through_hidden(d: StringDiagram, visible: set[str]) -> bool:
     """Whether every wire between boxes of ``d`` carries an object outside
     ``visible``, those wires connect all boxes (the walk from box 0, taken
     first, reaches them all), no wire joins the two interfaces, and no
-    automorphism moves a box: walks from distinct boxes differ, coding
-    interface ends by one marker, as a splice loses positions."""
+    automorphism moves a box, coding interface ends by one marker, as a
+    splice loses positions.  On a connected diagram an automorphism that
+    fixes a box fixes its ports' ends, so every box: one that moves a box
+    moves box 0 onto a box of its label, whose walk equals box 0's, and
+    equal walks from box 0 and box ``b`` map 0 to ``b``."""
     if any(b < 0 for b, _ in d.results):
         return False
     if any(b >= 0 and d.box_cods[b][k] in visible for ends in d.feeds for b, k in ends):
         return False
     blind = [[(b, k if b >= 0 else 0) for b, k in ends] for ends in d.feeds]
-    walks = (tuple(_walk(d, blind, [b])[2]) for b in range(len(d.boxes)))
+    walks = (tuple(_walk(d, blind, [b])[2]) for b, x in enumerate(d.boxes) if x == d.boxes[0])
     first = next(walks)
-    return len(first) == len(d.boxes) and len({first, *walks}) == len(d.boxes)
+    return len(first) == len(d.boxes) and first not in walks
 
 
 def _firing_sequences(
@@ -339,26 +311,46 @@ def _spliced_diagram(
     )
 
 
+def _firing_term(d: StringDiagram) -> MorphismTerm:
+    """The term read off ``d``, whose boxes are in firing order: before each
+    box a symmetry brings the sources of its ports to the front, in port
+    order, and keeps the rest in order; a last one orders the outputs as
+    ``d.results`` does.  Identity symmetries are left out."""
+    ends = [(-1, i) for i in range(len(d.inputs))]
+    steps: list[MorphismTerm] = []
+    for b, front in enumerate((*d.feeds, d.results)):
+        chosen = [ends.index(end) for end in front]
+        perm = (*chosen, *(i for i in range(len(ends)) if i not in chosen))
+        word = tuple(d.inputs[k] if c < 0 else d.box_cods[c][k] for c, k in ends)
+        if perm != identity_perm(len(ends)):
+            steps.append(Perm(word, perm))
+        if b < len(d.boxes):
+            rest, fire = perm[len(front):], Gen(d.boxes[b])
+            steps.append(Tensor(fire, Id(tuple(word[i] for i in rest))) if rest else fire)
+            ends = [(b, k) for k in range(len(d.box_cods[b]))] + [ends[i] for i in rest]
+    return compose_terms(steps) if steps else Id(d.inputs)
+
+
 def _first_collapse(
     functor: StrictFunctor, dom: Word, sequences: list[tuple[str, ...]], pieces: tuple[dict, dict]
-) -> tuple[MorphismTerm, MorphismTerm] | None:
-    """The terms of the first two sequences of the first image group with
-    two members, after sequences with equal diagrams collapse to the first.
-    ``pieces`` holds each generator's own diagram and that of its image;
-    the empty sequence stands for the identity on ``dom``."""
+) -> tuple[StringDiagram, StringDiagram] | None:
+    """The diagrams of the first two members of the first image group with
+    two, after sequences with equal diagrams collapse to the first.
+    ``pieces`` holds each generator's own diagram, so a member's boxes
+    spell its sequence, and that of its image."""
     sig = functor.source
     own = {obj: (obj,) for obj in sig.objects}
-    members: dict[tuple, tuple[str, ...]] = {}
+    members: dict[tuple, StringDiagram] = {}
     for seq in sequences:
-        members.setdefault(diagram_key(_spliced_diagram(sig, dom, seq, own, pieces[0])), seq)
-    by_image: dict[tuple, list[tuple[str, ...]]] = {}
-    for seq in members.values():
-        image = _spliced_diagram(sig, dom, seq, functor.object_map, pieces[1])
-        by_image.setdefault(diagram_key(image), []).append(seq)
+        d = _spliced_diagram(sig, dom, seq, own, pieces[0])
+        members.setdefault(diagram_key(d), d)
+    by_image: dict[tuple, list[StringDiagram]] = {}
+    for d in members.values():
+        image = _spliced_diagram(sig, dom, d.boxes, functor.object_map, pieces[1])
+        by_image.setdefault(diagram_key(image), []).append(d)
     for group in by_image.values():
         if len(group) > 1:
-            left, right = (_canonical_firing_term(sig, s)[2] if s else Id(dom) for s in group[:2])
-            return left, right
+            return group[0], group[1]
     return None
 
 
@@ -373,10 +365,10 @@ def check_faithful_bounded(
     collapse by the key of their spliced diagram (:func:`_spliced_diagram`)
     and the rest are grouped by the key of their spliced image.  The
     first image group with two members, in the first class that has
-    one, is the certificate of unfaithfulness, as the canonical terms of
-    its first two sequences.  Otherwise the functor is faithful on
-    everything the enumeration reaches.  Tokens are routed canonically,
-    so a collapse that needs a symmetry between boxes is never built.
+    one, is the certificate of unfaithfulness, as the terms read off its
+    first two diagrams (:func:`_firing_term`).  Otherwise the functor is
+    faithful on everything the enumeration reaches.  Tokens are routed
+    canonically: no collapse that needs a symmetry between boxes is built.
 
     Sequences of generators that read back (:func:`_readback_generators`)
     alone collapse with nothing and are not built; when every generator
@@ -412,7 +404,7 @@ def check_faithful_bounded(
         classes.setdefault(_firing_boundary(sig, seq), []).append(seq)
 
     own = None
-    collapses: dict[tuple[Word, Word], tuple[MorphismTerm, MorphismTerm]] = {}
+    collapses: dict[tuple[Word, Word], tuple[StringDiagram, StringDiagram]] = {}
     for (dom, cod), seqs in classes.items():
         if dom == cod and not readback:
             seqs.append(())
@@ -423,7 +415,7 @@ def check_faithful_bounded(
         if pair is None:
             continue
         if not readback:
-            return CounterexampleFound(bound, *pair)
+            return CounterexampleFound(bound, *map(_firing_term, pair))
         collapses[(dom, cod)] = pair
     if not collapses:
         return FaithfulUpTo(bound)
@@ -435,4 +427,4 @@ def check_faithful_bounded(
             first = _firing_boundary(sig, seq)
             if first in collapses:
                 break
-    return CounterexampleFound(bound, *collapses[first])
+    return CounterexampleFound(bound, *map(_firing_term, collapses[first]))

@@ -18,8 +18,13 @@ mapped it with ``apply_functor`` and folded the image again.  That is
 The tests compare the library's ``check_faithful_bounded`` against all
 three on random small functors; verdicts and certificates must agree.
 
+Before certificates were read off the spliced diagrams, each was built
+by a second, term-level routing of the tokens.  That is
+:func:`_canonical_firing_term`, which the term oracles here build with.
+
 Before the rigidity test stopped at a walk from box 0 that misses a box,
-it walked from every box first.  That is :func:`rigid_by_every_walk`.
+and walked only from boxes labelled like box 0, it walked from every box
+first.  That is :func:`rigid_by_every_walk`.
 
 :func:`small_diagram_collapses` is a brute force, not an earlier design:
 it maps every diagram of at most two boxes and reports the collapses,
@@ -28,6 +33,7 @@ so no diagram over readback generators alone may appear in one.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, filterfalse, permutations, product
+from typing import Sequence
 
 from petriglue import (
     BudgetExceededError,
@@ -57,16 +63,47 @@ from petriglue.fssmc import (
 )
 from petriglue.functors import (
     FaithfulnessVerdict,
-    _canonical_firing_term,
     _first_collapse,
     _firing_boundary,
     _firing_sequences,
+    _firing_term,
+    _leftmost_route,
     _readback_generators,
     is_generator_preserving_on_objects,
     is_injective_on_object_generators,
 )
-from petriglue.net_model import Word
+from petriglue.net_model import SmcPresentation, Word
 from support import diagram_from_wires, wires
+
+
+def _canonical_firing_term(
+    sig: SmcPresentation, sequence: Sequence[str]
+) -> tuple[Word, Word, MorphismTerm]:
+    """Build the canonical term firing ``sequence`` from its minimal marking.
+
+    Tokens are routed with leftmost-occurrence symmetries, and the term
+    ends with the canonical sort of the final word, so its boundaries are
+    the order-sorted ones of :func:`_firing_boundary`.  The library reads
+    the same terms off its spliced diagrams (``functors._firing_term``).
+    """
+    word, _ = _firing_boundary(sig, sequence)
+    steps: list[MorphismTerm] = []
+    current = word
+    for name in sequence:
+        gen = sig.morphism(name)
+        chosen, rest = _leftmost_route(current, gen.dom)
+        route = tuple(chosen + rest)
+        if route != identity_perm(len(current)):
+            steps.append(Perm(current, route))
+        rest_word = tuple(current[i] for i in rest)
+        steps.append(Gen(name) if not rest_word else Tensor(Gen(name), Id(rest_word)))
+        current = gen.cod + rest_word
+
+    sort = sorting_permutation(current, sig.object_rank)
+    if sort != identity_perm(len(current)):
+        steps.append(Perm(current, sort))
+        current = apply_perm(current, sort)
+    return word, current, compose_terms(steps) if steps else Id(word)
 
 
 def parallel_classes(
@@ -305,7 +342,7 @@ def check_faithful_by_relabelling(
         classes.setdefault(_firing_boundary(sig, seq), []).append(seq)
 
     pieces = None
-    collapses: dict[tuple[Word, Word], tuple[MorphismTerm, MorphismTerm]] = {}
+    collapses: dict[tuple[Word, Word], tuple[StringDiagram, StringDiagram]] = {}
     for (dom, cod), seqs in classes.items():
         if dom == cod and not relabelled:
             seqs.append(())
@@ -319,7 +356,7 @@ def check_faithful_by_relabelling(
         if pair is None:
             continue
         if not relabelled:
-            return CounterexampleFound(bound, *pair)
+            return CounterexampleFound(bound, *map(_firing_term, pair))
         collapses[(dom, cod)] = pair
     if not collapses:
         return FaithfulUpTo(bound)
@@ -331,7 +368,7 @@ def check_faithful_by_relabelling(
             first = _firing_boundary(sig, seq)
             if first in collapses:
                 break
-    return CounterexampleFound(bound, *collapses[first])
+    return CounterexampleFound(bound, *map(_firing_term, collapses[first]))
 
 
 def small_diagram_terms(sig, max_boxes: int = 2, max_letters: int = 4):

@@ -35,6 +35,7 @@ from petriglue.cli_io import (
     _build_parser,
     _document_text,
     main,
+    parse_bare_net,
     parse_semantics,
 )
 from support import FIXTURES, collapsing_split_pair, fig1_nws
@@ -954,8 +955,66 @@ def _fig8a_with_object(tmp_path, name):
 
 
 class TestObjectNames:
-    """Semantics object names are written into ``id`` and ``perm`` text, so
-    one that the term grammar cannot read back as a NAME is rejected."""
+    """Semantics object names are written into ``id`` and ``perm`` text, net
+    places into certificates and transitions into recipes, so a place,
+    transition, object or free morphism name that the term grammar cannot
+    read back as a NAME is rejected."""
+
+    SOURCE = {
+        "places": ["a b"],
+        "transitions": [{"name": "g", "pre": {"a b": 1}, "post": {"a b": 1}}],
+        "semantics": {"backend": "terminal"},
+    }
+
+    def test_place_rejected_before_a_certificate_names_it(self, tmp_path, capsys):
+        """Accepted, this source printed ``certificate: id([a b])``, which
+        ``parse_term`` reads as ``id([a,b])``: two places."""
+        target = {
+            "places": ["X"],
+            "transitions": [{"name": "k", "pre": {"X": 1}, "post": {"X": 1}}],
+            "semantics": {"backend": "terminal"},
+        }
+        functor = {"objects": {"a b": ["X"]}, "morphisms": {"g": "id([X])"}}
+        paths = {}
+        for name, doc in (("src", self.SOURCE), ("tgt", target), ("functor", functor)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        src, tgt, fun = (str(paths[name]) for name in ("src", "tgt", "functor"))
+        assert main(["validate", src]) == 2
+        check = ["check-functor", fun, "--src", src, "--tgt", tgt, "--faithful-bound", "1"]
+        assert main(check) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: document: place name 'a b' is not a term NAME: it must be "
+                       "nonempty, without whitespace or any of ()[],"] * 2
+
+    @pytest.mark.parametrize("name", ["t 1", "t,1", "f(x)", ""])
+    def test_transition_rejected(self, tmp_path, capsys, name):
+        doc = json.loads((FIXTURES / "fig1.json").read_text())
+        doc["transitions"][0]["name"] = name
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert f"document: transition name {name!r} is not a term NAME" in capsys.readouterr().err
+
+    def test_recipe_name_rejected(self, tmp_path, capsys):
+        """``sync`` would write a transition that ``validate`` then rejects."""
+        recipe = tmp_path / "recipe.json"
+        recipe.write_text(json.dumps({"name": "g h", "expression": "ten(gen(g),gen(h))"}))
+        out = tmp_path / "out.json"
+        argv = ["sync", str(FIXTURES / "fig1.json"), "--recipe", str(recipe), "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert "recipe: transition name 'g h' is not a term NAME" in capsys.readouterr().err
+
+    def test_witness_place_rejected(self):
+        with pytest.raises(ValidationError, match="witness: place name 'b 0'"):
+            parse_bare_net({"places": ["b 0"], "transitions": []}, "witness")
+
+    @pytest.mark.parametrize("name", ["m 1", "m]", ""])
+    def test_free_morphism_rejected(self, name):
+        morphism = {"name": name, "dom": ["A"], "cod": ["A"]}
+        with pytest.raises(ValidationError, match=f"semantics: morphism name {name!r}"):
+            parse_semantics({"backend": "free", "objects": ["A"], "morphisms": [morphism]})
 
     @pytest.mark.parametrize("name", ["b b", "b,b", "b)", "[b]", "b\tb", ""])
     def test_rejected_by_validate_and_compose(self, tmp_path, capsys, name):

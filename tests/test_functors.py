@@ -36,10 +36,10 @@ from petriglue import (
 )
 import petriglue.functors
 from petriglue.errors import BudgetExceededError
-from petriglue.fssmc import Tensor, compose_terms, identity_perm
+from petriglue.fssmc import StringDiagram, Tensor, compose_terms, identity_perm, tensor_terms
 from petriglue.functors import (
-    _canonical_firing_term,
     _firing_sequences,
+    _firing_term,
     _readback_generators,
     _rigid_through_hidden,
     _spliced_diagram,
@@ -54,6 +54,7 @@ from support import (
 )
 
 import reference_functors as reference
+from reference_functors import _canonical_firing_term
 from reference_functors import relabelled_generators as _relabelled_generators
 
 SIG = free_smc(fig1_net())
@@ -748,6 +749,34 @@ class TestFaithfulnessAgainstTermOracle:
             assert outcomes[0] == outcomes[1]
 
 
+class TestCertificatesReadOffDiagrams:
+    """The search builds terms only for the two members of a certificate,
+    on the functors of ``TestFaithfulnessAgainstTermOracle``."""
+
+    def test_two_terms_per_counterexample(self, monkeypatch):
+        read = petriglue.functors._firing_term
+        calls = [0]
+
+        def counting_read(d):
+            calls[0] += 1
+            return read(d)
+
+        monkeypatch.setattr(petriglue.functors, "_firing_term", counting_read)
+        small, relabelling = random.Random(81), random.Random(82)
+        functors = [random_small_functor(small) for _ in range(300)]
+        functors += [random_relabelling_functor(relabelling) for _ in range(300)]
+        counterexamples = faithful = 0
+        for functor in functors:
+            for bound in (1, 2, 3):
+                calls[0] = 0
+                verdict = check_faithful_bounded(functor, bound)
+                found = isinstance(verdict, CounterexampleFound)
+                assert calls[0] == 2 * found, (functor, bound, verdict)
+                counterexamples += found
+                faithful += not found
+        assert counterexamples > 200 and faithful > 200, (counterexamples, faithful)
+
+
 def splice_sides(functor: StrictFunctor):
     """(object map, pieces) splicing source diagrams and image diagrams."""
     sig = functor.source
@@ -784,6 +813,28 @@ class TestSplicedDiagrams:
                 expected = to_diagram(apply_functor(functor, term), functor.target)
                 assert diagram_key(spliced) == diagram_key(expected)
         assert widened > 40
+
+    def test_terms_read_off_match_the_term_builder(self):
+        """``_firing_term`` of an own spliced diagram is the term the old
+        routing built (``reference_functors._canonical_firing_term``), and
+        the identity on a sorted word when nothing fires."""
+        rng = random.Random(85)
+        sequences = identities = 0
+        while sequences < 5000:
+            functor = random_small_functor(rng)
+            sig = functor.source
+            own, _ = splice_sides(functor)
+            names = [gen.name for gen in sig.morphisms]
+            for _ in range(10):
+                seq = tuple(rng.choice(names) for _ in range(rng.randint(0, 5)))
+                dom, _, term = _canonical_firing_term(sig, seq)
+                assert _firing_term(_spliced_diagram(sig, dom, seq, *own)) == term, seq
+                sequences += 1
+            word = tuple(rng.choice(sig.objects) for _ in range(rng.randint(0, 5)))
+            word = tuple(sorted(word, key=sig.object_rank.__getitem__))
+            assert _firing_term(_spliced_diagram(sig, word, (), *own)) == Id(word)
+            identities += 1
+        assert identities == 500
 
     def test_identity_on_a_sorted_word(self):
         functor = doubling_functor()
@@ -977,10 +1028,34 @@ class TestReadbackAgainstBruteForce:
         assert certified + more > 8 and collapsing + found > 2, (certified, more, collapsing, found)
 
 
+HIDDEN = SmcPresentation(
+    ("A", "B", "H"),
+    (MorphismGenerator("u", ("A",), ("H", "H")), MorphismGenerator("v", ("H", "H"), ("B",))),
+)
+
+
+def hidden_wiring(cross: tuple[int, ...]) -> StringDiagram:
+    """``u: A -> H H`` beside itself, the symmetry ``cross`` on their hidden
+    wires, then ``v: H H -> B`` beside itself: one box of each per pair."""
+    u, v = (tensor_terms([Gen(name)] * (len(cross) // 2)) for name in ("u", "v"))
+    return to_diagram(compose_terms([u, Perm(("H",) * len(cross), cross), v]), HIDDEN)
+
+
+def hidden_ring(copies: int, shift: int) -> StringDiagram:
+    """:func:`hidden_wiring` where ``v`` number ``i`` reads the first wire of
+    ``u`` number ``i`` and the second of ``u`` number ``i + shift``, modulo
+    ``copies``: a rotation maps it to itself once interface positions are
+    forgotten, and it is a cycle of hidden wires unless ``shift`` is 0."""
+    return hidden_wiring(
+        tuple(x for i in range(copies) for x in (2 * i, 2 * ((i + shift) % copies) + 1))
+    )
+
+
 class TestRigidityStopsEarly:
     """``_rigid_through_hidden`` walks from box 0 first and stops there when
-    that walk misses a box; the verdicts are those of a walk from every box
-    (``reference_functors.rigid_by_every_walk``)."""
+    that walk misses a box; otherwise it walks only from boxes labelled like
+    box 0, up to the first walk equal to box 0's.  The verdicts are those of
+    a walk from every box (``reference_functors.rigid_by_every_walk``)."""
 
     SPLIT = SmcPresentation(
         ("A", "A2", "B", "X", "Y"),
@@ -993,8 +1068,10 @@ class TestRigidityStopsEarly:
     )
     VISIBLE = {"A", "A2", "X", "Y"}
 
-    def walks(self, monkeypatch, term) -> tuple[bool, int]:
-        d = to_diagram(term, self.SPLIT)
+    @staticmethod
+    def walks(monkeypatch, d: StringDiagram, visible: set[str]) -> tuple[bool, int]:
+        """The verdict on ``d`` and the walks it took, at most one per box
+        labelled like box 0."""
         walk = petriglue.functors._walk
         calls = [0]
 
@@ -1003,33 +1080,66 @@ class TestRigidityStopsEarly:
             return walk(*args)
 
         monkeypatch.setattr(petriglue.functors, "_walk", counting_walk)
-        verdict = _rigid_through_hidden(d, self.VISIBLE)
-        assert verdict == reference.rigid_by_every_walk(d, self.VISIBLE)
+        verdict = _rigid_through_hidden(d, visible)
+        monkeypatch.undo()
+        assert verdict == reference.rigid_by_every_walk(d, visible), (d, visible)
+        assert calls[0] <= d.boxes.count(d.boxes[0]), (d, visible, calls[0])
         return verdict, calls[0]
 
     def test_split_image_takes_one_walk(self, monkeypatch):
         """A split event's image, ``p;c`` beside ``q;d``, is two components
         of the hidden ``B``: the walk from box 0 misses two of four boxes."""
         split = Tensor(Compose(Gen("p"), Gen("c")), Compose(Gen("q"), Gen("d")))
-        assert self.walks(monkeypatch, split) == (False, 1)
+        d = to_diagram(split, self.SPLIT)
+        assert self.walks(monkeypatch, d, self.VISIBLE) == (False, 1)
 
-    def test_connected_image_walks_from_every_box(self, monkeypatch):
-        assert self.walks(monkeypatch, Compose(Gen("p"), Gen("c"))) == (True, 2)
+    def test_connected_image_walks_from_its_label_class(self, monkeypatch):
+        """No box of ``p;c`` but box 0 is labelled ``p``: one walk."""
+        d = to_diagram(Compose(Gen("p"), Gen("c")), self.SPLIT)
+        assert self.walks(monkeypatch, d, self.VISIBLE) == (True, 1)
 
-    def test_random_verdicts_match_the_walk_from_every_box(self):
+    def test_crossed_doubling_moves_box_0_onto_its_twin(self, monkeypatch):
+        """Swapping the two ``u`` and the two ``v`` of the crossed image is an
+        automorphism: the walk from the second ``u``, box 1, equals box 0's."""
+        functor = doubled_functor((0, 3, 2, 1))
+        d = to_diagram(functor.morphism_map["g"], functor.target)
+        assert self.walks(monkeypatch, d, {"A", "B"}) == (False, 2)
+        functor = doubled_functor((0, 2, 1, 3))
+        d = to_diagram(functor.morphism_map["g"], functor.target)
+        assert self.walks(monkeypatch, d, {"A", "B"}) == (True, 2)
+
+    def test_hidden_ring_rotates_box_0(self, monkeypatch):
+        """A rotation of a hidden ring moves box 0 onto the next ``u``; with
+        ``shift`` 0 the ring falls apart into ``copies`` components."""
+        for copies in (2, 3, 5):
+            for shift in range(1, copies):
+                verdict, calls = self.walks(monkeypatch, hidden_ring(copies, shift), {"A", "B"})
+                assert not verdict and 2 <= calls <= copies, (copies, shift, calls)
+            assert self.walks(monkeypatch, hidden_ring(copies, 0), {"A", "B"}) == (False, 1)
+
+    def test_random_verdicts_match_the_walk_from_every_box(self, monkeypatch):
+        """Random terms, and random hidden wirings of ``u`` and ``v`` boxes;
+        a verdict ``False`` after two or more walks found an automorphism
+        that moves box 0 on a connected diagram."""
         rng = random.Random(4)
-        checked = rigid = 0
+        checked = rigid = moved = 0
         for _ in range(400):
             sig = random_presentation(rng) if rng.random() < 0.5 else SIG
             d = to_diagram(random_term(rng, sig, rng.randint(1, 8)), sig)
             if not d.boxes:
                 continue
             visible = {o for o in sig.objects if rng.random() < 0.5}
-            verdict = _rigid_through_hidden(d, visible)
-            assert verdict == reference.rigid_by_every_walk(d, visible), (d, visible)
+            verdict, calls = self.walks(monkeypatch, d, visible)
             checked += 1
             rigid += verdict
-        assert checked > 200 and rigid > 10, (checked, rigid)
+            moved += not verdict and calls > 1
+        for _ in range(100):
+            cross = list(range(2 * rng.randint(1, 4)))
+            rng.shuffle(cross)
+            verdict, calls = self.walks(monkeypatch, hidden_wiring(tuple(cross)), {"A", "B"})
+            rigid += verdict
+            moved += not verdict and calls > 1
+        assert checked > 200 and rigid > 10 and moved >= 3, (checked, rigid, moved)
 
 
 class TestFiringSequences:
